@@ -482,3 +482,29 @@ def test_replay_reproduces_byte_identical_outputs(tmp_path):
     second = replay_once()
     assert first == second
     assert TOKEN in first["report.md"].decode("utf-8")
+
+
+@pytest.mark.parametrize("max_repairs", [0, 1, 2])
+def test_max_repairs_bounds_every_structured_call(tmp_path, max_repairs):
+    # a model that never answers with JSON: each structured request costs
+    # exactly 1 + max_repairs calls, in the recon loop and in the summary
+    calls = {}
+
+    def factory(name):
+        def responder(request):
+            calls[name] = calls.get(name, 0) + 1
+            return "never json"
+
+        return ScriptedBackend(responder=responder)
+
+    runner = PipelineRunner(
+        make_config(tmp_path, max_iterations=3, max_repairs=max_repairs),
+        clock=ReplayClock(),
+        backend_factory=factory,
+        executor=StubExecutor(),
+    )
+    runner.run_intelligence()
+    assert calls == {
+        "recon": 3 * (1 + max_repairs),
+        "recon-summary": 1 + max_repairs,
+    }

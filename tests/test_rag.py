@@ -15,6 +15,8 @@ import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentestflow.gateway import ResponseSchema, register_schema
 from pentestflow.rag import (
@@ -27,6 +29,7 @@ from pentestflow.rag import (
     HttpEmbedder,
     RagStore,
     chunk_text,
+    _token_slot,
     cosine_scores,
     cosine_similarity,
 )
@@ -135,6 +138,35 @@ def test_hashing_embedder_matches_oracle():
     assert matrix.shape == (5, 256)
     for row, text in zip(matrix, texts):
         assert row.tolist() == [float(v) for v in oracle_embed(text)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    texts=st.lists(st.text(max_size=200), max_size=4),
+    start=st.integers(min_value=0, max_value=10**12),
+    dimension=st.sampled_from([1, 7, 64, 256]),
+)
+def test_embed_matches_oracle_on_unicode_text(texts, start, dimension):
+    # random unicode text plus tokens from a range far wider than the slot
+    # cache, so rows are also checked while the cache evicts
+    vocabulary = " ".join(f"w{start + i}" for i in range(500))
+    texts = texts + [vocabulary]
+    matrix = HashingEmbedder(dimension).embed(texts)
+    assert matrix.shape == (len(texts), dimension)
+    for row, text in zip(matrix, texts):
+        assert row.tolist() == [float(v) for v in oracle_embed(text, dimension)]
+
+
+def test_embed_matches_oracle_past_slot_cache_capacity():
+    capacity = _token_slot.cache_info().maxsize
+    tokens = [f"tok{i}" for i in range(capacity + 2048)]
+    texts = [" ".join(tokens[i : i + 512]) for i in range(0, len(tokens), 512)]
+    embedder = HashingEmbedder()
+    for _ in range(2):  # the second pass re-hashes evicted tokens
+        matrix = embedder.embed(texts)
+        for row, text in zip(matrix, texts):
+            assert row.tolist() == [float(v) for v in oracle_embed(text)]
+    assert _token_slot.cache_info().currsize <= capacity
 
 
 def test_self_similarity_is_exactly_one():
@@ -284,6 +316,33 @@ def test_tie_break_order_is_doc_then_chunk(tmp_path):
     assert [h.chunk.doc_id for h in hits] == ["aa", "mm", "zz"]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    documents=st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b", "c", "ab", "ba"]),
+            st.sampled_from(["scan", "port", "scan port", "port scan", "tls", ""]),
+        ),
+        min_size=1,
+        max_size=25,
+    ),
+    query=st.sampled_from(["scan", "port", "scan port", "tls", "ftp"]),
+    k=st.integers(min_value=1, max_value=30),
+)
+def test_ranking_with_many_exact_ties_matches_oracle(tmp_path_factory, documents, query, k):
+    # a four-word vocabulary and repeated doc ids make most scores exact ties
+    store = RagStore(tmp_path_factory.mktemp("ties"))
+    store.index("c", [(doc_id, text, "u") for doc_id, text in documents])
+    oracle_chunks = [
+        (doc_id, idx, piece)
+        for doc_id, text in documents
+        for idx, piece in enumerate(chunk_text(text))
+    ]
+    hits = store.retrieve("c", query, k=k)
+    got = [(h.chunk.doc_id, h.chunk.chunk_index) for h in hits]
+    assert got == oracle_rank(oracle_chunks, query)[:k]
+
+
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
@@ -324,6 +383,56 @@ def test_save_load_save_byte_identity(tmp_path):
         reopened.persist("c")
         assert (root / "c" / "manifest.json").read_bytes() == manifest_before
         assert (root / "c" / "chunks.jsonl").read_bytes() == chunks_before
+
+
+def test_appending_index_calls_equal_one_full_rewrite(tmp_path):
+    rng = random.Random(29)
+    documents = [
+        (f"d{i:02d}", _words(rng, rng.randrange(1, 200)), f"uri://{i}") for i in range(50)
+    ]
+    store = RagStore(tmp_path / "appended")
+    for document in documents:
+        store.index("c", [document])
+    appended = tmp_path / "appended" / "c"
+    manifest = (appended / "manifest.json").read_bytes()
+    chunks = (appended / "chunks.jsonl").read_bytes()
+    assert json.loads(manifest)["chunk_count"] == len(chunks.splitlines())
+
+    RagStore(tmp_path / "appended").persist("c")
+    assert (appended / "manifest.json").read_bytes() == manifest
+    assert (appended / "chunks.jsonl").read_bytes() == chunks
+    RagStore(tmp_path / "single").index("c", documents)
+    assert (tmp_path / "single" / "c" / "manifest.json").read_bytes() == manifest
+    assert (tmp_path / "single" / "c" / "chunks.jsonl").read_bytes() == chunks
+
+    reopened = RagStore(tmp_path / "appended")
+    for query in ("nmap port scan", "tls banner", "cve host probe"):
+        before = store.retrieve("c", query, k=10)
+        after = reopened.retrieve("c", query, k=10)
+        assert [(h.chunk, h.score) for h in before] == [(h.chunk, h.score) for h in after]
+
+
+def test_crash_before_manifest_rewrite_is_detected(tmp_path):
+    store = RagStore(tmp_path)
+    store.index("c", [("a", "first document", "u")])
+    old_manifest = (tmp_path / "c" / "manifest.json").read_bytes()
+    store.index("c", [("b", "second document", "u")])
+    # as if the process died after appending chunk lines, before the manifest
+    (tmp_path / "c" / "manifest.json").write_bytes(old_manifest)
+    with pytest.raises(CorpusCorrupt):
+        RagStore(tmp_path).retrieve("c", "document", k=1)
+
+
+def test_drop_removes_corpus_and_cache(tmp_path):
+    store = RagStore(tmp_path)
+    store.index("c", [("old", "stale words", "u")])
+    store.drop("c")
+    assert not store.corpus_exists("c")
+    with pytest.raises(CorpusMissing):
+        store.retrieve("c", "stale", k=1)
+    store.index("c", [("new", "fresh words", "u")])
+    assert [h.chunk.doc_id for h in store.retrieve("c", "stale fresh", k=5)] == ["new"]
+    store.drop("absent")  # dropping a missing corpus is a no-op
 
 
 def test_embedder_mismatch_detected(tmp_path):

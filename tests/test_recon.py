@@ -396,3 +396,35 @@ def test_fingerprint_validation():
         ServiceFingerprint("h", 65536, "tcp", "s", "p")
     with pytest.raises(ValueError):
         ServiceFingerprint("h", 80, "tcp", "s", "", version="1.0")
+
+
+def test_index_into_replaces_env_corpus(tmp_path):
+    # re-summarising a target must not leave the old fingerprints retrievable
+    def summary_of(product, version, port):
+        return EnvironmentSummary(
+            target=TARGET,
+            os_guess="linux",
+            fingerprints=(
+                ServiceFingerprint(TARGET, port, "tcp", "http", product, version),
+            ),
+            notes="",
+            collected_at="2024-01-01T00:00:00Z",
+        )
+
+    store = EnvironmentStore(tmp_path / "env")
+    rag = RagStore(tmp_path / "rag")
+    first = summary_of("Stalesrv", "0.9", 8080)
+    second = summary_of("Freshsrv", "2.1", 8443)
+    corpus_id = store.index_into(rag, first)
+    assert store.index_into(rag, second) == corpus_id
+
+    fresh = RagStore(tmp_path / "only-second")
+    store.index_into(fresh, second)
+    expected = (tmp_path / "only-second" / corpus_id / "chunks.jsonl").read_bytes()
+    assert (tmp_path / "rag" / corpus_id / "chunks.jsonl").read_bytes() == expected
+
+    for reader in (rag, RagStore(tmp_path / "rag")):
+        hits = reader.retrieve(corpus_id, "Stalesrv 0.9 port 8080", k=50)
+        assert sorted(h.chunk.doc_id for h in hits) == ["fingerprint-0", "summary"]
+        assert not any("Stalesrv" in h.chunk.text for h in hits)
+        assert any("Freshsrv" in h.chunk.text for h in hits)
