@@ -1,9 +1,14 @@
 """Knowledge tree tests: validation, merge semantics, version-aware queries,
-and byte-stable persistence."""
+and byte-stable, incremental, crash-safe persistence."""
 
+import json
+import os
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentestflow.knowledge import (
     EFFECT_VOCABULARY,
@@ -12,6 +17,7 @@ from pentestflow.knowledge import (
     KnowledgeError,
     KnowledgeTree,
     VulnerabilityNode,
+    _dirname,
     is_valid_cve_id,
     normalize_effect,
 )
@@ -248,36 +254,40 @@ def test_query_never_returns_provably_excluded(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+CONSTRAINTS = ["", "<=5.17.3", "5.*", "1.0 - 2.0", ">=3.1"]
+
+
+def _random_exploit(rng: random.Random) -> ExploitNode:
+    return make_exploit(
+        f"github.com/u/r{rng.randrange(100)}",
+        effect=rng.choice(EFFECT_VOCABULARY),
+        applicable_versions=rng.choice(CONSTRAINTS),
+        requirements=tuple(
+            rng.sample(["python3", "nc", "bash", "curl"], rng.randrange(3))
+        ),
+    )
+
+
+def _random_vuln(rng: random.Random, cve: str = "") -> VulnerabilityNode:
+    cve = cve or f"CVE-20{rng.randrange(10,25)}-{rng.randrange(1000, 99999)}"
+    exploits = [_random_exploit(rng) for _ in range(rng.randrange(0, 3))]
+    return VulnerabilityNode(
+        cve_id=cve,
+        vuln_type=rng.choice(["rce", "ssrf", ""]),
+        affected_versions=rng.choice(CONSTRAINTS),
+        summary=f"summary {rng.randrange(1000)}",
+        exploits=exploits,
+        sources=[f"https://src{rng.randrange(5)}.example"],
+        epss=rng.choice([None, round(rng.uniform(0, 100), 2)]),
+    )
+
+
 def _random_tree(rng: random.Random) -> KnowledgeTree:
     tree = KnowledgeTree()
     apps = ["ActiveMQ", "nginx", "Demo App!"]
-    constraints = ["", "<=5.17.3", "5.*", "1.0 - 2.0", ">=3.1"]
     for app in rng.sample(apps, rng.randrange(1, len(apps) + 1)):
         for _ in range(rng.randrange(1, 4)):
-            cve = f"CVE-20{rng.randrange(10,25)}-{rng.randrange(1000, 99999)}"
-            exploits = [
-                make_exploit(
-                    f"github.com/u/r{rng.randrange(100)}",
-                    effect=rng.choice(EFFECT_VOCABULARY),
-                    applicable_versions=rng.choice(constraints),
-                    requirements=tuple(
-                        rng.sample(["python3", "nc", "bash", "curl"], rng.randrange(3))
-                    ),
-                )
-                for _ in range(rng.randrange(0, 3))
-            ]
-            tree.upsert(
-                app,
-                VulnerabilityNode(
-                    cve_id=cve,
-                    vuln_type=rng.choice(["rce", "ssrf", ""]),
-                    affected_versions=rng.choice(constraints),
-                    summary=f"summary {rng.randrange(1000)}",
-                    exploits=exploits,
-                    sources=[f"https://src{rng.randrange(5)}.example"],
-                    epss=rng.choice([None, round(rng.uniform(0, 100), 2)]),
-                ),
-            )
+            tree.upsert(app, _random_vuln(rng))
     return tree
 
 
@@ -326,7 +336,7 @@ def test_load_bad_node_file_raises(tmp_path):
     tree = KnowledgeTree()
     tree.upsert("App", make_vuln())
     tree.save(root)
-    bad = next((root / "app").glob("CVE-*.json"))
+    bad = next(root.glob("*/CVE-*.json"))
     bad.write_text("{not json")
     with pytest.raises(KnowledgeError):
         KnowledgeTree.load(root)
@@ -341,3 +351,264 @@ def test_node_round_trip_through_dict():
     assert rebuilt.epss == 42.5
     # to_dict sorts exploits by source_ref
     assert [e.source_ref for e in rebuilt.exploits] == ["a/ref", "b/ref"]
+
+
+# ---------------------------------------------------------------------------
+# Directory names, incremental save and crash safety
+# ---------------------------------------------------------------------------
+
+
+def _snapshot(tree: KnowledgeTree) -> dict:
+    return {
+        (app, node.cve_id): node.to_dict()
+        for app in tree.applications()
+        for node in tree.vulnerabilities(app)
+    }
+
+
+def _inodes(root) -> dict:
+    return {
+        str(path.relative_to(root)): path.stat().st_ino
+        for path in root.rglob("*")
+        if path.is_file()
+    }
+
+
+def test_slug_colliding_applications_round_trip(tmp_path):
+    root = tmp_path / "kb"
+    tree = KnowledgeTree()
+    tree.upsert("Apache Tomcat", make_vuln(cve="CVE-2020-1938"))
+    tree.upsert("apache_tomcat", make_vuln(cve="CVE-2017-12617"))
+    tree.save(root)
+    reloaded = KnowledgeTree.load(root)
+    assert reloaded.applications() == ["Apache Tomcat", "apache_tomcat"]
+    assert [n.cve_id for n in reloaded.vulnerabilities("apache tomcat")] == [
+        "CVE-2020-1938"
+    ]
+    assert [n.cve_id for n in reloaded.vulnerabilities("apache_tomcat")] == [
+        "CVE-2017-12617"
+    ]
+
+
+def _write_app(root, dirname, display, nodes):
+    """Lay out one application directory by hand, as older code or a person
+    might have; nodes maps file names to nodes."""
+    (root / dirname).mkdir(parents=True)
+    (root / dirname / "application.json").write_text(
+        json.dumps({"application": display}) + "\n"
+    )
+    for name, node in nodes.items():
+        (root / dirname / name).write_text(
+            json.dumps(node.to_dict(), sort_keys=True, indent=2) + "\n"
+        )
+
+
+def test_older_directory_names_are_saved_in_place(tmp_path):
+    root = tmp_path / "kb"
+    _write_app(root, "app", "App", {"CVE-2023-46604.json": make_vuln()})
+    tree = KnowledgeTree.load(root)
+    tree.upsert("App", make_vuln(cve="CVE-2024-0001"))
+    tree.save(root)
+    assert sorted(p.name for p in root.iterdir()) == ["app"]
+    assert (root / "app" / "CVE-2024-0001.json").is_file()
+    assert len(KnowledgeTree.load(root).vulnerabilities("App")) == 2
+
+
+def _misnamed_node_file(root):
+    _write_app(root, "app", "App", {"advisory.json": make_vuln(summary="old")})
+
+
+def _two_directories_for_one_key(root):
+    _write_app(root, "a", "App", {"CVE-2023-46604.json": make_vuln(summary="old")})
+    _write_app(root, "b", "APP", {"CVE-2023-46604.json": make_vuln(summary="old")})
+
+
+def _older_name_equal_to_a_new_one(root):
+    taken = _dirname("app")  # an older tree's slug for an application so named
+    _write_app(root, taken, taken, {"CVE-2023-46604.json": make_vuln()})
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [_misnamed_node_file, _two_directories_for_one_key, _older_name_equal_to_a_new_one],
+)
+def test_irregular_layouts_are_saved_whole(tmp_path, layout):
+    # a save of only the dirty nodes would leave stale copies beside them, or
+    # write a new application into an older one's directory
+    root = tmp_path / "kb"
+    layout(root)
+    tree = KnowledgeTree.load(root)
+    tree.upsert("App", make_vuln(summary="new"))
+    tree.save(root)
+    assert _snapshot(KnowledgeTree.load(root)) == _snapshot(tree)
+
+
+def test_home_save_replaces_exactly_one_file(tmp_path):
+    root = tmp_path / "kb"
+    _random_tree(random.Random(11)).save(root)
+    tree = KnowledgeTree.load(root)
+    app = tree.applications()[0]
+    cve = tree.vulnerabilities(app)[0].cve_id
+    before = _inodes(root)
+    tree.upsert(app, make_vuln(cve=cve, versions="", summary="updated"))
+    tree.save(root)
+    after = _inodes(root)
+    assert after.keys() == before.keys()
+    assert [rel for rel in after if after[rel] != before[rel]] == [
+        str(next(root.glob(f"*/{cve}.json")).relative_to(root))
+    ]
+    assert KnowledgeTree.load(root).get(app, cve).summary == "updated"
+
+
+_NEW_APPS = ["Apache Tomcat", "apache_tomcat", "Grafana", "Über App", "NGINX"]
+
+
+def _apply_upsert(tree: KnowledgeTree, rng: random.Random, kind: str) -> None:
+    apps = tree.applications()
+    if kind == "new_app" or not apps:
+        tree.upsert(rng.choice(_NEW_APPS), _random_vuln(rng))
+        return
+    app = rng.choice(apps)
+    if kind == "new_cve":
+        tree.upsert(rng.choice([app, app.upper()]), _random_vuln(rng))
+        return
+    node = rng.choice(tree.vulnerabilities(app))
+    incoming = _random_vuln(rng, cve=node.cve_id)
+    if kind == "merge_exploit" and node.exploits:
+        held = rng.choice(node.exploits)
+        incoming.exploits.append(
+            make_exploit(
+                held.source_ref,
+                applicable_versions=rng.choice(CONSTRAINTS),
+                requirements=("socat",),
+                local_path=f"/tmp/poc{rng.randrange(10)}",
+            )
+        )
+    tree.upsert(app, incoming)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    upserts=st.lists(
+        st.tuples(
+            st.sampled_from(["new_app", "new_cve", "merge_node", "merge_exploit"]),
+            st.integers(min_value=0, max_value=2**32 - 1),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_home_save_matches_full_save(tmp_path_factory, seed, upserts):
+    home = tmp_path_factory.mktemp("home") / "kb"
+    fresh = tmp_path_factory.mktemp("fresh") / "kb"
+    _random_tree(random.Random(seed)).save(home)
+    tree = KnowledgeTree.load(home)
+    for kind, op_seed in upserts:
+        _apply_upsert(tree, random.Random(op_seed), kind)
+    tree.save(home)
+    tree.save(fresh)
+    assert _dir_bytes(home) == _dir_bytes(fresh)
+    assert not list(home.rglob("*.tmp"))
+
+
+def test_load_reads_old_tree_between_swap_renames(tmp_path):
+    root = tmp_path / "kb"
+    old = _random_tree(random.Random(3))
+    old.save(root)
+    root.rename(tmp_path / "kb.discard")  # as a full save does before its swap
+    loaded = KnowledgeTree.load(root)
+    assert _snapshot(loaded) == _snapshot(old)
+    # the discard directory is not the tree's home: its next save is full
+    loaded.upsert("NewApp", make_vuln(cve="CVE-2024-2222"))
+    loaded.save(root)
+    assert not (tmp_path / "kb.discard").exists()
+    assert _snapshot(KnowledgeTree.load(root)) == _snapshot(loaded)
+
+
+class InjectedCrash(OSError):
+    pass
+
+
+def _crash_on_call(monkeypatch, k: int) -> list:
+    """Make the k-th call of Path.rename, os.replace or Path.write_text raise;
+    a crashing write_text leaves the first half of its text behind."""
+    calls = []
+    real_rename, real_replace, real_write = Path.rename, os.replace, Path.write_text
+
+    def tick() -> bool:
+        calls.append(None)
+        return len(calls) == k
+
+    def rename(self, target):
+        if tick():
+            raise InjectedCrash(f"rename {self}")
+        return real_rename(self, target)
+
+    def replace(src, dst):
+        if tick():
+            raise InjectedCrash(f"replace {src}")
+        return real_replace(src, dst)
+
+    def write_text(self, data, *args, **kwargs):
+        if tick():
+            real_write(self, data[: len(data) // 2], *args, **kwargs)
+            raise InjectedCrash(f"write_text {self}")
+        return real_write(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "rename", rename)
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(Path, "write_text", write_text)
+    return calls
+
+
+def _home_case(root):
+    _random_tree(random.Random(56)).save(root)
+    old = _snapshot(KnowledgeTree.load(root))
+    tree = KnowledgeTree.load(root)
+    rng = random.Random(22)
+    for kind in ["merge_node", "merge_exploit", "new_cve", "new_app", "new_app"]:
+        _apply_upsert(tree, rng, kind)
+    return tree, old
+
+
+def _full_case(root):
+    old_tree = _random_tree(random.Random(56))
+    old_tree.save(root)
+    return _random_tree(random.Random(37)), _snapshot(old_tree)
+
+
+@pytest.mark.parametrize("case", [_home_case, _full_case], ids=["home", "full"])
+def test_crash_at_every_write_and_rename_leaves_a_loadable_tree(
+    tmp_path, monkeypatch, case
+):
+    k = 0
+    while True:
+        k += 1
+        root = tmp_path / f"k{k}" / "kb"
+        tree, old = case(root)
+        new = _snapshot(tree)
+        with monkeypatch.context() as patch:
+            calls = _crash_on_call(patch, k)
+            try:
+                tree.save(root)
+            except InjectedCrash:
+                pass
+        loaded = _snapshot(KnowledgeTree.load(root))
+        assert loaded, f"empty tree after a crash at call {k}"
+        if case is _full_case:
+            assert loaded in (old, new), f"mixed tree after a crash at call {k}"
+        else:
+            # the old tree with each dirty node at its old or new value
+            assert loaded.keys() <= new.keys(), k
+            for key in new:
+                assert loaded.get(key) in (old.get(key), new[key]), (k, key)
+        if len(calls) < k:  # the save finished before the k-th call
+            assert loaded == new
+            break
+        tree.save(root)  # the same tree, saved again, finishes the job
+        assert _snapshot(KnowledgeTree.load(root)) == new
+        assert not list(root.rglob("*.tmp"))
+        assert not root.with_name("kb.staging").exists()
+        assert not root.with_name("kb.discard").exists()
+    assert k > 10  # both cases make more than ten writes and renames

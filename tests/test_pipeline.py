@@ -419,6 +419,37 @@ def test_report_json_mirrors_record(tmp_path):
     assert doc["stages"][STAGE_EXPLOITATION]["status"] == STATUS_COMPLETE
 
 
+def _unescaped_pipes(line: str) -> int:
+    count, escaped = 0, False
+    for char in line:
+        if escaped:
+            escaped = False
+        elif char == "\\":
+            escaped = True
+        elif char == "|":
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("product", ["a|b\nc", "a\r\nb|", "trailing\\", "x\\|y\rz"])
+def test_report_table_cells_escape_pipes_and_line_breaks(product):
+    fingerprint = {
+        "host": "10.0.0.5|evil",
+        "port": 8080,
+        "service": "http\n| injected | row |",
+        "product": product,
+        "version": "1.2\r\n3",
+    }
+    record = {"summary": {"os_guess": "linux", "fingerprints": [fingerprint]}}
+    markdown, _ = render_report(record)
+    header = "| Host | Port | Service | Product | Version |"
+    lines = markdown.splitlines()
+    row = lines[lines.index(header) + 2]
+    assert lines[lines.index(header) + 3] == ""  # the row is one line
+    assert _unescaped_pipes(row) == 6
+    assert "\\|" in row
+
+
 # ---------------------------------------------------------------------------
 # Record/replay determinism
 # ---------------------------------------------------------------------------
