@@ -5,7 +5,7 @@ import json
 import pytest
 
 from pentestflow import cli
-from pentestflow.gateway import ScriptedBackend
+from pentestflow.gateway import ScriptedBackend, TranscriptEntry, write_transcript
 from pentestflow.knowledge import ExploitNode, KnowledgeTree, VulnerabilityNode
 from pentestflow.pipeline import (
     STAGES,
@@ -14,6 +14,15 @@ from pentestflow.pipeline import (
     ReplayClock,
     RunConfig,
     load_record,
+)
+
+from test_search import (
+    CVE_QUERY,
+    ROUND1_QUERY,
+    consolidation_reply,
+    exploit_doc_reply,
+    surface_doc_reply,
+    write_fixture,
 )
 
 TARGET = "127.0.0.1"
@@ -392,3 +401,78 @@ def test_bench_subcommand_smoke(tmp_path, recorded_transcripts, capsys):
     # target is counted as a non-success rather than excluded or crashed
     assert aggregates["overall_success_rate"] == 0.0
     assert aggregates["per_difficulty"]["easy"] == {"targets": 1, "success_rate": 0.0}
+
+
+def test_acquire_record_writes_record_and_transcripts(tmp_path, capsys):
+    fixtures = tmp_path / "fixtures"
+    write_fixture(
+        fixtures,
+        ROUND1_QUERY,
+        [
+            {"uri": "https://adv.org/1", "title": "advisory", "body": "rce"},
+            {"uri": "https://nvd.example/46604", "title": "CVE-2023-46604", "body": ""},
+        ],
+    )
+    write_fixture(
+        fixtures,
+        CVE_QUERY,
+        [{"uri": "https://github.com/x/poc", "title": "x/poc", "body": "exploit code"}],
+    )
+    candidate = {
+        "cve_id": "CVE-2023-46604",
+        "vuln_type": "deserialization-rce",
+        "affected_versions": "<=5.17.3",
+        "leads": [],
+        "source_uri": "https://adv.org/1",
+        "summary": "rce",
+    }
+    replies = {
+        "search-surfaces": [
+            surface_doc_reply(),
+            surface_doc_reply(),
+            consolidation_reply([candidate]),
+        ],
+        "search-exploits-0": [exploit_doc_reply()],
+    }
+    replay = tmp_path / "replay"
+    for name, texts in replies.items():
+        write_transcript(
+            [TranscriptEntry(i, "", text, 100, 10) for i, text in enumerate(texts)],
+            replay / f"{name}.jsonl",
+        )
+    record_dir = tmp_path / "recorded"
+    out_dir = tmp_path / "runs"
+    rc = cli.main(
+        [
+            "acquire",
+            "--target",
+            TARGET,
+            "--scope",
+            TARGET,
+            "--application",
+            "TestApp",
+            "--app-version",
+            "1.0",
+            "--search-fixtures",
+            str(fixtures),
+            "--replay",
+            str(replay),
+            "--record",
+            str(record_dir),
+            "--knowledge",
+            str(tmp_path / "kb"),
+            "--output",
+            str(out_dir),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_OK, captured.err
+    assert "acquired 2 knowledge node(s) for TestApp" in captured.out
+    assert sorted(p.name for p in record_dir.iterdir()) == [
+        "search-exploits-0.jsonl",
+        "search-surfaces.jsonl",
+    ]
+    (run_dir,) = [p for p in out_dir.iterdir() if p.is_dir()]
+    record = load_record(run_dir / "record.json")
+    assert record.ledger["call_count"] == 4
+    assert record.ledger["input_tokens"] == 400

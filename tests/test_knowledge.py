@@ -1,9 +1,11 @@
 """Knowledge tree tests: validation, merge semantics, version-aware queries,
-and byte-stable, incremental, crash-safe persistence."""
+byte-stable, incremental, crash-safe persistence, and loading one
+application at a time."""
 
 import json
 import os
 import random
+import shutil
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from pentestflow.knowledge import (
     KnowledgeTree,
     VulnerabilityNode,
     _dirname,
+    _key,
     is_valid_cve_id,
     normalize_effect,
 )
@@ -154,6 +157,24 @@ def test_case_insensitive_app_keys_first_spelling_displayed():
     tree.upsert("ACTIVEMQ", make_vuln(cve="CVE-2023-9999"))
     assert tree.applications() == ["ActiveMQ"]
     assert len(tree.vulnerabilities("activemq")) == 2
+
+
+def test_padded_and_mixed_case_names_find_one_application(tmp_path):
+    root = tmp_path / "kb"
+    tree = KnowledgeTree()
+    tree.upsert("Apache Tomcat", make_vuln(cve="CVE-2020-1938"))
+    tree.upsert("  APACHE tomcat\t", make_vuln(cve="CVE-2017-12617"))
+    assert tree.applications() == ["Apache Tomcat"]
+    tree.save(root)
+    for candidate in (tree, KnowledgeTree.load(root)):
+        for name in [" Apache Tomcat ", "APACHE TOMCAT", "\tapache tomcat\n"]:
+            assert candidate.get(name, "CVE-2020-1938") is not None, name
+            assert [n.cve_id for n in candidate.vulnerabilities(name)] == [
+                "CVE-2017-12617",
+                "CVE-2020-1938",
+            ]
+            assert len(candidate.query(name, "5.17.0")[0]) == 2
+            assert candidate.node_count(name) == 2
 
 
 def test_epss_updated_when_incoming_present():
@@ -338,8 +359,9 @@ def test_load_bad_node_file_raises(tmp_path):
     tree.save(root)
     bad = next(root.glob("*/CVE-*.json"))
     bad.write_text("{not json")
+    tree = KnowledgeTree.load(root)  # the application is read on first access
     with pytest.raises(KnowledgeError):
-        KnowledgeTree.load(root)
+        tree.vulnerabilities("App")
 
 
 def test_node_round_trip_through_dict():
@@ -441,6 +463,37 @@ def test_irregular_layouts_are_saved_whole(tmp_path, layout):
     tree.upsert("App", make_vuln(summary="new"))
     tree.save(root)
     assert _snapshot(KnowledgeTree.load(root)) == _snapshot(tree)
+
+
+@pytest.mark.parametrize("layout", [_misnamed_node_file, _two_directories_for_one_key])
+def test_irregular_application_is_saved_whole_once_it_is_dirty(tmp_path, layout):
+    root = tmp_path / "kb"
+    layout(root)
+    irregular = sorted(p.name for p in root.iterdir())
+    tree = KnowledgeTree.load(root)
+    tree.upsert("Other", make_vuln())
+    tree.save(root)  # App is not dirty: its directories stay as they are
+    assert sorted(p.name for p in root.iterdir()) == sorted(
+        [*irregular, _dirname("other")]
+    )
+    tree.upsert("App", make_vuln(summary="new"))
+    tree.save(root)
+    assert sorted(p.name for p in root.rglob("*")) == sorted(
+        [_dirname("app"), _dirname("other"), "application.json", "application.json"]
+        + ["CVE-2023-46604.json"] * 2
+    )
+
+
+def test_duplicate_directories_merge_in_name_order(tmp_path):
+    # the later name wins a scalar conflict, as when the whole tree is read
+    root = tmp_path / "kb"
+    first, last = make_vuln(summary="first"), make_vuln(summary="last")
+    _write_app(root, _dirname("app"), "App", {"CVE-2023-46604.json": first})
+    _write_app(root, "zzz legacy", "APP", {"CVE-2023-46604.json": last})
+    assert KnowledgeTree.load(root).get("App", "CVE-2023-46604").summary == "last"
+    full = KnowledgeTree.load(root)
+    full.applications()
+    assert full.get("App", "CVE-2023-46604").summary == "last"
 
 
 def test_home_save_replaces_exactly_one_file(tmp_path):
@@ -578,6 +631,18 @@ def _full_case(root):
     return _random_tree(random.Random(37)), _snapshot(old_tree)
 
 
+def _assert_home_save_sweeps_strays(crashed, again):
+    """A new tree saved into a copy of a crashed home rewrites one node of
+    every application; no ``*.tmp`` may remain in the directories it wrote."""
+    shutil.copytree(crashed, again)
+    tree = KnowledgeTree.load(again)
+    for app in tree.applications():
+        tree.upsert(app, tree.vulnerabilities(app)[-1])
+    tree.save(again)
+    for app in tree.applications():
+        assert not list((again / _dirname(_key(app))).glob("*.tmp")), app
+
+
 @pytest.mark.parametrize("case", [_home_case, _full_case], ids=["home", "full"])
 def test_crash_at_every_write_and_rename_leaves_a_loadable_tree(
     tmp_path, monkeypatch, case
@@ -606,9 +671,172 @@ def test_crash_at_every_write_and_rename_leaves_a_loadable_tree(
         if len(calls) < k:  # the save finished before the k-th call
             assert loaded == new
             break
+        if case is _home_case:
+            _assert_home_save_sweeps_strays(root, tmp_path / f"k{k}" / "again")
         tree.save(root)  # the same tree, saved again, finishes the job
         assert _snapshot(KnowledgeTree.load(root)) == new
         assert not list(root.rglob("*.tmp"))
         assert not root.with_name("kb.staging").exists()
         assert not root.with_name("kb.discard").exists()
     assert k > 10  # both cases make more than ten writes and renames
+
+
+# ---------------------------------------------------------------------------
+# Loading one application at a time
+# ---------------------------------------------------------------------------
+
+
+_EXTRAS = {
+    # extra: (directory name, application name) of a hand-made directory
+    "older_layout": ("legacy app", "Legacy App"),
+    "hashed_other_name": ("hand-0badc0de", "Hand Made"),  # not its key's hash
+    "name_of_a_new_key": (_dirname("grafana"), _dirname("grafana")),
+}
+
+
+def _lay_out(root, rng: random.Random, extras: list[str]) -> tuple[list, list]:
+    """Save a random tree under root and add the irregular directories named
+    in extras; return the application names and CVE ids it holds."""
+    tree = _random_tree(rng)
+    tree.save(root)
+    apps = tree.applications()
+    names = list(apps)
+    for i, extra in enumerate(extras):
+        app = rng.choice(apps)
+        shared = _random_vuln(rng, cve=rng.choice(tree.vulnerabilities(app)).cve_id)
+        if extra == "duplicate_key":  # an older directory for a saved key
+            display = rng.choice([app.upper(), f" {app} "])
+            _write_app(root, "copy", display, {f"{shared.cve_id}.json": shared})
+        elif extra == "misnamed_node":
+            (root / _dirname(_key(app)) / "advisory.json").write_text(
+                json.dumps(shared.to_dict(), sort_keys=True, indent=2) + "\n"
+            )
+        else:
+            dirname, display = _EXTRAS[extra]
+            node = make_vuln(cve=f"CVE-2011-000{i}")
+            _write_app(root, dirname, display, {f"{node.cve_id}.json": node})
+            names.append(display)
+    cves = [n.cve_id for app in apps for n in tree.vulnerabilities(app)]
+    return names, cves
+
+
+_OPS = [
+    "get", "vulnerabilities", "query", "node_count", "upsert", "applications", "save"
+]
+
+
+def _apply_op(tree: KnowledgeTree, root, kind: str, rng: random.Random, names, cves):
+    """One operation on the tree; its result as plain data, or the error."""
+    name = rng.choice(names + _NEW_APPS + ["Ghost", "  "])
+    name = rng.choice([name, name.upper(), f"  {name}\t"])
+    cve = rng.choice(cves + ["CVE-2001-0001"])
+    try:
+        if kind == "get":
+            node = tree.get(name, cve)
+            return node and node.to_dict()
+        if kind == "vulnerabilities":
+            return [n.to_dict() for n in tree.vulnerabilities(name)]
+        if kind == "query":
+            version = rng.choice(["5.17.3", "1.5", "4", "odd"])
+            matching, unknown = tree.query(name, version)
+            return [n.cve_id for n in matching], [n.cve_id for n in unknown]
+        if kind == "node_count":
+            return tree.node_count(name)
+        if kind == "upsert":
+            node = _random_vuln(rng, cve=rng.choice([cve, ""]))
+            return tree.upsert(name, node).to_dict()
+        if kind == "applications":
+            return tree.applications()
+        tree.save(root)
+        return _dir_bytes(root)
+    except (ValueError, KnowledgeError) as err:
+        return type(err).__name__
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    extras=st.lists(
+        st.sampled_from(["duplicate_key", "misnamed_node", *_EXTRAS]), unique=True
+    ),
+    ops=st.lists(
+        st.tuples(st.sampled_from(_OPS), st.integers(min_value=0, max_value=2**32 - 1)),
+        max_size=15,
+    ),
+)
+def test_lazy_tree_matches_fully_read_tree(tmp_path_factory, seed, extras, ops):
+    lazy_root = tmp_path_factory.mktemp("lazy") / "kb"
+    full_root = tmp_path_factory.mktemp("full") / "kb"
+    names, cves = _lay_out(lazy_root, random.Random(seed), extras)
+    shutil.copytree(lazy_root, full_root)
+    lazy = KnowledgeTree.load(lazy_root)
+    full = KnowledgeTree.load(full_root)
+    full.applications()  # reads every directory
+    for kind, op_seed in ops:
+        results = [
+            _apply_op(tree, root, kind, random.Random(op_seed), names, cves)
+            for tree, root in ((lazy, lazy_root), (full, full_root))
+        ]
+        assert results[0] == results[1], kind
+    lazy.save(lazy_root)
+    full.save(full_root)
+    assert _dir_bytes(lazy_root) == _dir_bytes(full_root)
+    assert _snapshot(KnowledgeTree.load(lazy_root)) == _snapshot(full)
+
+
+def test_query_opens_only_that_applications_directory(tmp_path, monkeypatch):
+    root = tmp_path / "kb"
+    tree = KnowledgeTree()
+    for i in range(20):
+        tree.upsert(f"App {i}", make_vuln(cve=f"CVE-2020-{1000 + i}"))
+    tree.save(root)
+    opened = []
+    real_open = Path.open
+
+    def recording_open(self, *args, **kwargs):
+        opened.append(self)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", recording_open)
+    loaded = KnowledgeTree.load(root)
+    assert opened == []
+    matching, _ = loaded.query(" APP 7 ", "5.17.0")
+    assert [n.cve_id for n in matching] == ["CVE-2020-1007"]
+    assert sorted(p.relative_to(root).as_posix() for p in opened) == [
+        f"{_dirname('app 7')}/CVE-2020-1007.json",
+        f"{_dirname('app 7')}/application.json",
+    ]
+
+
+def test_first_access_after_a_chdir_reads_the_loaded_root(tmp_path, monkeypatch):
+    tree = KnowledgeTree()
+    tree.upsert("App", make_vuln())
+    tree.save(tmp_path / "kb")
+    monkeypatch.chdir(tmp_path)
+    loaded = KnowledgeTree.load("kb")
+    monkeypatch.chdir(tmp_path.parent)
+    assert [n.cve_id for n in loaded.vulnerabilities("App")] == ["CVE-2023-46604"]
+
+
+def test_full_save_with_an_unread_corrupt_application_raises(tmp_path):
+    home = tmp_path / "kb"
+    other = tmp_path / "other"
+    tree = KnowledgeTree()
+    tree.upsert("App", make_vuln())
+    tree.upsert("Broken", make_vuln(cve="CVE-2024-0002"))
+    tree.save(home)
+    (home / _dirname("broken") / "CVE-2024-0002.json").write_text("{not json")
+    old = KnowledgeTree()
+    old.upsert("Old", make_vuln())
+    old.save(other)
+    home_bytes, other_bytes = _dir_bytes(home), _dir_bytes(other)
+    loaded = KnowledgeTree.load(home)
+    loaded.upsert("App", make_vuln(summary="new"))
+    with pytest.raises(KnowledgeError):
+        loaded.save(other)
+    assert _dir_bytes(other) == other_bytes
+    assert _dir_bytes(home) == home_bytes
+    assert not (tmp_path / "other.staging").exists()
+    # a home save writes only App's node and leaves Broken for its reader
+    loaded.save(home)
+    assert KnowledgeTree.load(home).get("App", "CVE-2023-46604").summary == "new"

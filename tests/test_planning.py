@@ -282,6 +282,14 @@ def test_plan_drops_provably_excluded_exploits():
     assert set(refs) == {"repo/current", "repo/any"}
 
 
+def test_plan_finds_a_padded_mixed_case_application():
+    tree = tree_with(vuln("CVE-2020-0001", exploits=[exploit("repo/a")]))
+    agent = PlanningAgent(tree)
+    padded = suggestion("CVE-2020-0001", application=f" {APP.upper()}\t")
+    plan = agent.plan_exploits([padded], "1.2.3", garbage_session())
+    assert [e.exploit.source_ref for e in plan.entries] == ["repo/a"]
+
+
 def test_plan_model_ranking_grounded():
     agent = PlanningAgent(
         tree_with(
