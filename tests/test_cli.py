@@ -356,6 +356,25 @@ def test_report_subcommand_round_trip(tmp_path, recorded_transcripts, capsys):
     doc = json.loads(captured.out)
     assert doc["success_index"] == 0
     assert doc["target"] == TARGET
+    assert captured.out == (run_dir / "report.json").read_text(encoding="utf-8")
+
+
+def test_report_subcommand_rewrites_identical_bytes(tmp_path, recorded_transcripts):
+    """Re-rendering a finished run's record reproduces its report files."""
+    transcripts, kb_dir = recorded_transcripts
+    out_dir = tmp_path / "runs-replay"
+    argv = ["run", "--target", TARGET, "--scope", TARGET, "--replay", str(transcripts)]
+    argv += ["--knowledge", str(kb_dir), "--application", "DemoSrv"]
+    assert cli.main(argv + ["--output", str(out_dir)]) == cli.EXIT_OK
+    run_dir = next(p for p in out_dir.iterdir() if p.is_dir())
+    names = ("report.md", "report.json")
+    written = {name: (run_dir / name).read_bytes() for name in names}
+    for name in names:
+        (run_dir / name).unlink()
+    rc = cli.main(["report", "--run-dir", str(run_dir)])
+    assert rc == cli.EXIT_OK
+    assert {name: (run_dir / name).read_bytes() for name in names} == written
+    assert TOKEN in written["report.md"].decode("utf-8")
 
 
 def test_bench_subcommand_smoke(tmp_path, recorded_transcripts, capsys):

@@ -5,11 +5,17 @@ Expected costs are frozen from independent hand computation (exact decimal
 arithmetic), not from running the code under test.
 """
 
-import io
 import json
+import os
 import random
+import socket
+import subprocess
+import sys
+import textwrap
 import threading
 from fractions import Fraction
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +26,7 @@ from pentestflow.gateway import (
     ChatRequest,
     ChatSession,
     ContextOverflow,
-    GatewayError,
+    HttpChatBackend,
     ProviderProfile,
     RecordingBackend,
     ReplayBackend,
@@ -35,7 +41,6 @@ from pentestflow.gateway import (
     estimate_tokens,
     extract_json_object,
     read_transcript,
-    record_transcript,
     register_schema,
     request_digest,
     transcript_lines,
@@ -532,33 +537,16 @@ def test_replay_missing_file_raises(tmp_path):
 def test_record_zero_and_three_calls(tmp_path):
     backend = RecordingBackend(ScriptedBackend(responder=lambda r: "ok"))
     session = ChatSession("s", "sys", WIDE_PROFILE, backend)
-    sink = io.StringIO()
-    assert record_transcript(session, sink) == 0
+    empty_path = tmp_path / "empty.jsonl"
+    assert write_transcript(backend.entries, empty_path) == 0
+    assert empty_path.read_bytes() == b""
 
     for prompt in ("a", "b", "c"):
         session.complete(prompt)
     path = tmp_path / "rec.jsonl"
-    assert record_transcript(session, path) == 3
+    assert write_transcript(backend.entries, path) == 3
     loaded = read_transcript(path)
     assert [e.sequence_no for e in loaded] == [0, 1, 2]
-
-
-def test_record_requires_recording_backend():
-    session = scripted_session(["x"])
-    with pytest.raises(GatewayError):
-        record_transcript(session, io.StringIO())
-
-
-def test_record_sink_failure():
-    class BadSink:
-        def write(self, _):
-            raise OSError("disk full")
-
-    backend = RecordingBackend(ScriptedBackend(responder=lambda r: "ok"))
-    session = ChatSession("s", "sys", WIDE_PROFILE, backend)
-    session.complete("a")
-    with pytest.raises(GatewayError):
-        record_transcript(session, BadSink())
 
 
 def test_replayed_session_rerecorded_is_byte_identical(tmp_path):
@@ -571,14 +559,14 @@ def test_replayed_session_rerecorded_is_byte_identical(tmp_path):
     for p in prompts:
         session.complete(p)
     first_path = tmp_path / "first.jsonl"
-    record_transcript(session, first_path)
+    write_transcript(original.entries, first_path)
 
     rerecord = RecordingBackend(ReplayBackend(path=first_path))
     replay_session = ChatSession("s", "sys", WIDE_PROFILE, rerecord)
     for p in prompts:
         replay_session.complete(p)
     second_path = tmp_path / "second.jsonl"
-    record_transcript(replay_session, second_path)
+    write_transcript(rerecord.entries, second_path)
 
     assert first_path.read_bytes() == second_path.read_bytes()
 
@@ -607,3 +595,158 @@ def test_transcript_lines_are_compact_json():
         doc = json.loads(line)
         assert list(doc) == sorted(doc)
         assert ": " not in line.replace('": ', '":_')  # compact separators
+
+
+# ---------------------------------------------------------------------------
+# Live HTTP backend, against a local server
+# ---------------------------------------------------------------------------
+
+CHAT_REQUEST = ChatRequest(
+    "system prompt",
+    (("user", "hi"), ("assistant", "hello")),
+    "next step",
+    GPT4O_PROFILE,
+)
+# hand computation from estimate_tokens: system 13 chars -> 4, history
+# 2 + 5 chars -> 1 + 2, prompt 9 chars -> 3; reply "ok then" 7 chars -> 2
+CHAT_REQUEST_ESTIMATE = TokenUsage(10, 2)
+
+
+def _chat_reply(text="ok then", usage=None) -> bytes:
+    doc = {"choices": [{"message": {"role": "assistant", "content": text}}]}
+    if usage is not None:
+        doc["usage"] = usage
+    return json.dumps(doc).encode("utf-8")
+
+
+class _ChatHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        length = int(self.headers["Content-Length"])
+        self.server.received.append((self.path, self.headers, self.rfile.read(length)))
+        status, body = self.server.reply
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def chat_server(monkeypatch):
+    """A chat endpoint on 127.0.0.1 that records requests and sends .reply."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
+    server.received = []
+    usage = {"prompt_tokens": 12, "completion_tokens": 3}
+    server.reply = (200, _chat_reply(usage=usage))
+    server.url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_http_backend_sends_chat_body_and_bearer(chat_server, monkeypatch):
+    monkeypatch.setenv("PENTESTFLOW_TEST_KEY", "sekret")
+    backend = HttpChatBackend(chat_server.url, "PENTESTFLOW_TEST_KEY", timeout=10)
+    text, usage = backend.send(CHAT_REQUEST)
+    assert (text, usage) == ("ok then", TokenUsage(12, 3))
+    [(path, headers, body)] = chat_server.received
+    assert path == "/v1/chat/completions"
+    assert headers["Authorization"] == "Bearer sekret"
+    assert headers["Content-Type"] == "application/json"
+    assert json.loads(body) == {
+        "model": "gpt-4o",
+        "messages": [
+            {"role": "system", "content": "system prompt"},
+            {"role": "user", "content": "hi"},
+            {"role": "assistant", "content": "hello"},
+            {"role": "user", "content": "next step"},
+        ],
+        "temperature": 0.0,
+    }
+
+
+def test_http_backend_without_credential_env_sends_no_authorization(chat_server):
+    HttpChatBackend(chat_server.url, timeout=10).send(CHAT_REQUEST)
+    [(_, headers, _)] = chat_server.received
+    assert "Authorization" not in headers
+
+
+@pytest.mark.parametrize(
+    "usage", [None, {}, {"prompt_tokens": 0, "completion_tokens": 0}]
+)
+def test_http_backend_estimates_missing_or_zero_usage(chat_server, usage):
+    chat_server.reply = (200, _chat_reply(usage=usage))
+    text, got = HttpChatBackend(chat_server.url, timeout=10).send(CHAT_REQUEST)
+    assert (text, got) == ("ok then", CHAT_REQUEST_ESTIMATE)
+
+
+def test_http_backend_unset_credential_sends_nothing(chat_server, monkeypatch):
+    monkeypatch.delenv("PENTESTFLOW_TEST_KEY", raising=False)
+    backend = HttpChatBackend(chat_server.url, "PENTESTFLOW_TEST_KEY", timeout=10)
+    with pytest.raises(BackendUnreachable, match="PENTESTFLOW_TEST_KEY"):
+        backend.send(CHAT_REQUEST)
+    assert chat_server.received == []
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        (500, b'{"error": "boom"}'),
+        (200, b"<html>not json</html>"),
+        (200, b'{"usage": {"prompt_tokens": 1, "completion_tokens": 1}}'),
+        (200, b'{"choices": []}'),
+    ],
+    ids=["http-500", "non-json", "no-choices", "empty-choices"],
+)
+def test_http_backend_bad_reply_is_unreachable(chat_server, reply):
+    chat_server.reply = reply
+    with pytest.raises(BackendUnreachable):
+        HttpChatBackend(chat_server.url, timeout=10).send(CHAT_REQUEST)
+    assert len(chat_server.received) == 1
+
+
+def test_http_backend_connection_refused_is_unreachable():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    url = f"http://127.0.0.1:{port}/v1/chat/completions"
+    with pytest.raises(BackendUnreachable):
+        HttpChatBackend(url, timeout=10).send(CHAT_REQUEST)
+
+
+def test_http_backend_needs_no_requests_package(chat_server):
+    """The live backend runs with the requests package blocked from import."""
+    code = textwrap.dedent(
+        """
+        import sys
+        sys.modules["requests"] = None
+        from pentestflow.gateway import ChatRequest, HttpChatBackend, ProviderProfile
+        profile = ProviderProfile("p", "m", 1000, 0.0, 0.0)
+        request = ChatRequest("sys", (), "hi", profile)
+        text, usage = HttpChatBackend(sys.argv[1], timeout=10).send(request)
+        print(text, usage.input_tokens, usage.output_tokens)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", code, chat_server.url],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["ok", "then", "12", "3"]

@@ -26,7 +26,6 @@ from pentestflow.rag import (
     CorpusMissing,
     EmbedderMismatch,
     HashingEmbedder,
-    HttpEmbedder,
     RagStore,
     chunk_text,
     _token_slot,
@@ -204,24 +203,6 @@ def test_cosine_scores_matches_scalar_path():
         assert vector_scores[i] == cosine_similarity(
             matrix[i].tolist(), qvec.tolist()
         )
-
-
-def test_http_embedder_shape_check():
-    class FakeResponse:
-        def raise_for_status(self):
-            pass
-
-        def json(self):
-            return {"data": [{"embedding": [1.0, 2.0]}]}
-
-    embedder = HttpEmbedder(
-        "http://unit.test/embeddings",
-        "m",
-        dimension=2,
-        http_post=lambda *a, **kw: FakeResponse(),
-    )
-    out = embedder.embed(["hello"])
-    assert out.shape == (1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +437,6 @@ def test_bad_corpus_ids_rejected(tmp_path):
     for bad in ("", "a/b", ".hidden"):
         with pytest.raises(ValueError):
             store.index(bad, [])
-
-
-def test_list_corpora(tmp_path):
-    store = RagStore(tmp_path)
-    store.index("beta", [("d", "t", "u")])
-    store.index("alpha", [("d", "t", "u")])
-    assert store.list_corpora() == ["alpha", "beta"]
 
 
 # ---------------------------------------------------------------------------
