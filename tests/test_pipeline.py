@@ -17,6 +17,7 @@ from pentestflow.pipeline import (
     STATUS_COMPLETE,
     STATUS_INCOMPLETE,
     STATUS_SKIPPED,
+    TOOLDOCS_CORPUS,
     PipelineRunner,
     ReplayClock,
     RunConfig,
@@ -27,8 +28,16 @@ from pentestflow.pipeline import (
     run_id_for,
     save_record,
 )
+from pentestflow.recon import env_corpus_id
 from pentestflow.report import render_report
 from pentestflow.sandbox import ExecutionResult
+from pentestflow.search import (
+    ROUND_ONE_TEMPLATE,
+    ROUND_TWO_TEMPLATE,
+    ConnectorKind,
+    FixtureConnector,
+    query_fixture_name,
+)
 
 TARGET = "127.0.0.1"
 TOKEN = "TOKEN-OK-c0ffee"
@@ -539,3 +548,169 @@ def test_max_repairs_bounds_every_structured_call(tmp_path, max_repairs):
         "recon": 3 * (1 + max_repairs),
         "recon-summary": 1 + max_repairs,
     }
+
+
+# ---------------------------------------------------------------------------
+# Per-call RAG corpora stay in memory
+# ---------------------------------------------------------------------------
+
+
+def online_setup(tmp_path):
+    """An online run's config, connectors and scripts.
+
+    The acquisition round files CVE-2024-0002 from fixture documents; the
+    plan still runs the seeded exploit, whose PoC is a local directory, so
+    the exploit corpus holds real files.
+    """
+    poc = tmp_path / "poc"
+    poc.mkdir()
+    (poc / "exploit.py").write_text(
+        "".join(f"# step {i}: run-poc --target HOST --port 8080\n" for i in range(60)),
+        encoding="utf-8",
+    )
+    (poc / "README.md").write_text("Usage: run-poc against the target host.\n" * 30)
+    kb_dir = tmp_path / "kb-online"  # make_config seeds tmp_path / "kb"
+    tree = KnowledgeTree()
+    tree.upsert(
+        "DemoSrv",
+        VulnerabilityNode(
+            cve_id="CVE-2024-0001",
+            vuln_type="rce",
+            affected_versions="<=1.2.3",
+            exploits=[
+                ExploitNode(
+                    source_ref="repo/poc",
+                    effect="remote command execution",
+                    applicable_versions="1.2.*",
+                    local_path=str(poc),
+                )
+            ],
+        ),
+    )
+    tree.save(kb_dir)
+
+    fixtures = {
+        tmp_path / "web": (
+            ROUND_ONE_TEMPLATE.format(application="DemoSrv", version="1.2.3"),
+            [{"uri": "https://adv.example/2", "title": "advisory", "body": "CVE-2024-0002 rce"}],
+        ),
+        tmp_path / "code": (
+            ROUND_TWO_TEMPLATE.format(cve_id="CVE-2024-0002"),
+            [{"uri": "https://code.example/poc2", "title": "poc2", "body": "exploit code"}],
+        ),
+    }
+    for directory, (query, docs) in fixtures.items():
+        directory.mkdir()
+        (directory / query_fixture_name(query)).write_text(json.dumps(docs))
+    connectors = [
+        FixtureConnector(ConnectorKind.GENERAL_WEB, tmp_path / "web"),
+        FixtureConnector(ConnectorKind.VULN_DB, tmp_path / "web"),
+        FixtureConnector(ConnectorKind.CODE_REPO, tmp_path / "code"),
+    ]
+    scripts = full_scripts()
+    scripts["search-surfaces-demosrv"] = [
+        json.dumps(
+            {
+                "relevant": True,
+                "summary": "rce",
+                "cve_ids": ["CVE-2024-0002"],
+                "vuln_type": "rce",
+                "affected_versions": "<=1.2.3",
+                "leads": [],
+            }
+        ),
+        json.dumps(
+            {
+                "candidates": [
+                    {
+                        "cve_id": "CVE-2024-0002",
+                        "vuln_type": "rce",
+                        "affected_versions": "<=1.2.3",
+                        "leads": [],
+                        "source_uri": "https://adv.example/2",
+                        "summary": "rce",
+                    }
+                ]
+            }
+        ),
+    ]
+    scripts["search-exploits-0-demosrv"] = [
+        json.dumps(
+            {
+                "relevant": True,
+                "cve_id": "CVE-2024-0002",
+                "source_ref": "code.example/poc2",
+                "effect": "remote command execution",
+                "applicable_versions": "1.2.*",
+                "requirements": [],
+            }
+        )
+    ]
+    config = make_config(
+        tmp_path, knowledge_dir=str(kb_dir), knowledge_mode="online"
+    )
+    return config, connectors, scripts
+
+
+def prompt_recording_factory(scripts, prompts):
+    def factory(name):
+        replies = list(scripts[name])
+
+        def respond(request):
+            prompts.setdefault(name, []).append(request.prompt)
+            return replies.pop(0)
+
+        return ScriptedBackend(responder=respond)
+
+    return factory
+
+
+def test_run_dir_keeps_only_env_and_tooldocs_corpora(tmp_path):
+    config, connectors, scripts = online_setup(tmp_path)
+    prompts = {}
+    runner = PipelineRunner(
+        config,
+        connectors=connectors,
+        clock=ReplayClock(),
+        backend_factory=prompt_recording_factory(scripts, prompts),
+        executor=StubExecutor(),
+    )
+    record = runner.run_all()
+    assert record.success_index == 0
+    # the acquisition and the exploit preparation both read retrieved passages
+    assert "CVE-2024-0002" in {n.cve_id for n in runner.tree.vulnerabilities("DemoSrv")}
+    assert any("https://adv.example/2" in p for p in prompts["search-surfaces-demosrv"])
+    assert "file://" in prompts["prep-0"][0]
+    corpora = sorted(p.name for p in (runner.run_dir / "rag").iterdir())
+    assert corpora == sorted([env_corpus_id(TARGET), TOOLDOCS_CORPUS])
+
+
+def test_second_runner_reruns_exploitation_identically(tmp_path):
+    config, connectors, scripts = online_setup(tmp_path)
+    first_prompts, second_prompts = {}, {}
+    first = PipelineRunner(
+        config,
+        connectors=connectors,
+        clock=ReplayClock(),
+        backend_factory=prompt_recording_factory(scripts, first_prompts),
+        executor=StubExecutor(),
+    )
+    first.run_all()
+    record_path = first.run_dir / "record.json"
+    before = json.loads(record_path.read_text(encoding="utf-8"))
+
+    # a new construction finds no exploit corpus and indexes the PoC again
+    second = PipelineRunner(
+        config,
+        connectors=connectors,
+        clock=ReplayClock(),
+        backend_factory=prompt_recording_factory(scripts, second_prompts),
+        executor=StubExecutor(),
+    )
+    second.run_exploitation()
+    after = json.loads(record_path.read_text(encoding="utf-8"))
+    assert after["plan"] == before["plan"]
+    assert after["outcomes"] == before["outcomes"]
+    assert after["success_index"] == before["success_index"] == 0
+    for name in ("prep-0", "exploit-0"):
+        assert second_prompts[name] == first_prompts[name]

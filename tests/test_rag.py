@@ -416,6 +416,78 @@ def test_drop_removes_corpus_and_cache(tmp_path):
     store.drop("absent")  # dropping a missing corpus is a no-op
 
 
+# ---------------------------------------------------------------------------
+# Memory-only corpora
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    documents=st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b", "ab", "zz"]),
+            st.lists(
+                st.sampled_from(["scan", "port", "tls", "cve", "héllo", "x" * 40, "\n"]),
+                max_size=40,
+            ).map(" ".join),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    split=st.integers(min_value=0, max_value=12),
+    query=st.sampled_from(["scan", "port tls", "cve héllo", "ftp"]),
+    k=st.integers(min_value=1, max_value=20),
+)
+def test_memory_corpus_retrieves_like_disk_corpus_reloaded(
+    tmp_path_factory, documents, split, query, k
+):
+    docs = [(doc_id, text, f"uri://{doc_id}") for doc_id, text in documents]
+    root = tmp_path_factory.mktemp("memory")
+    memory = RagStore(root)
+    # two index calls, so the oracle also covers appends to a memory corpus
+    memory.index("c", docs[:split], chunk_size=64, overlap=8, in_memory=True)
+    memory.index("c", docs[split:], chunk_size=64, overlap=8, in_memory=True)
+    assert list(root.iterdir()) == []
+
+    disk_root = tmp_path_factory.mktemp("disk")
+    RagStore(disk_root).index("c", docs, chunk_size=64, overlap=8)
+    reloaded = RagStore(disk_root)
+    assert [(h.chunk, h.score) for h in memory.retrieve("c", query, k=k)] == [
+        (h.chunk, h.score) for h in reloaded.retrieve("c", query, k=k)
+    ]
+
+
+def test_memory_corpus_is_seen_only_by_its_store(tmp_path):
+    store = RagStore(tmp_path)
+    assert store.index("c", [("a", "port scan", "u")], in_memory=True) == 1
+    assert store.corpus_exists("c")
+    assert [h.chunk.doc_id for h in store.retrieve("c", "scan", k=1)] == ["a"]
+    assert list(tmp_path.iterdir()) == []
+    fresh = RagStore(tmp_path)
+    assert not fresh.corpus_exists("c")
+    with pytest.raises(CorpusMissing):
+        fresh.retrieve("c", "scan", k=1)
+    store.drop("c")
+    assert not store.corpus_exists("c")
+
+
+def test_corpus_placement_is_fixed_by_its_first_index(tmp_path):
+    store = RagStore(tmp_path)
+    store.index("mem", [("a", "port scan", "u")], in_memory=True)
+    store.index("disk", [("a", "port scan", "u")])
+    with pytest.raises(ValueError, match="in memory only"):
+        store.index("mem", [("b", "tls", "u")])
+    with pytest.raises(ValueError, match="in memory only"):
+        store.persist("mem")
+    with pytest.raises(ValueError, match="on disk"):
+        store.index("disk", [("b", "tls", "u")], in_memory=True)
+    # a store that has not cached the disk corpus yet refuses it too
+    with pytest.raises(ValueError, match="on disk"):
+        RagStore(tmp_path).index("disk", [("b", "tls", "u")], in_memory=True)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["disk"]
+    assert [h.chunk.doc_id for h in store.retrieve("mem", "tls scan", k=5)] == ["a"]
+
+
 def test_embedder_mismatch_detected(tmp_path):
     store = RagStore(tmp_path, embedder=HashingEmbedder(dimension=64))
     store.index("c", [("d", "text", "u")])

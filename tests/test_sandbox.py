@@ -7,11 +7,19 @@ violation check fires before spawning.
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pentestflow
 
 from pentestflow.sandbox import (
     OUTPUT_CAP_BYTES,
@@ -249,6 +257,65 @@ def test_output_capped(tmp_path):
     )
     assert not under.truncated
     assert under.stdout == "aaaa"
+
+
+# one- to four-byte UTF-8 characters, so cuts fall inside characters
+_UTF8_TEXT = st.lists(st.sampled_from(["a", "\n", "é", "€", "😀"]), max_size=14).map("".join)
+
+
+@settings(max_examples=30, deadline=None)
+@given(out_text=_UTF8_TEXT, err_text=_UTF8_TEXT, cap=st.integers(min_value=1, max_value=24))
+def test_capped_output_equals_decoded_prefix(tmp_path_factory, out_text, err_text, cap):
+    workdir = tmp_path_factory.mktemp("cap")
+    raw_out, raw_err = out_text.encode("utf-8"), err_text.encode("utf-8")
+    (workdir / "out.bin").write_bytes(raw_out)
+    (workdir / "err.bin").write_bytes(raw_err)
+    result = SandboxExecutor(output_cap=cap).run(
+        CommandSpec(
+            command_line="cat out.bin; cat err.bin >&2",
+            target_scope=LOCAL,
+            working_dir=workdir,
+        )
+    )
+    assert result.stdout == raw_out[:cap].decode("utf-8", errors="replace")
+    assert result.stderr == raw_err[:cap].decode("utf-8", errors="replace")
+    assert result.truncated == (len(raw_out) > cap or len(raw_err) > cap)
+
+
+# VmHWM is the peak RSS of the probe's own address space. ru_maxrss would
+# not do: on Linux it carries over, through fork and exec, the peak of the
+# process that started the probe, so a large test runner would hide growth.
+_PEAK_RSS_PROBE = """
+from pentestflow.sandbox import CommandSpec, SandboxExecutor
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+executor = SandboxExecutor()
+executor.run(CommandSpec(command_line="echo warm", target_scope=("127.0.0.1",)))
+before = peak_kib()
+result = executor.run(
+    CommandSpec(command_line="head -c 32000000 /dev/zero", target_scope=("127.0.0.1",))
+)
+assert result.truncated and len(result.stdout) == 256 * 1024
+print(peak_kib() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs procfs")
+def test_output_past_the_cap_is_not_buffered():
+    src = str(Path(pentestflow.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    probe = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_PROBE],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert probe.returncode == 0, probe.stderr
+    growth_kib = int(probe.stdout.strip())
+    assert growth_kib < 8 * 1024
 
 
 def test_default_cap_is_256k():
