@@ -12,6 +12,7 @@ import math
 import random
 import re
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from pentestflow.rag import (
     CHUNK_SIZE,
     CorpusCorrupt,
     CorpusMissing,
+    EMBED_BLOCK,
     EmbedderMismatch,
     HashingEmbedder,
     RagStore,
@@ -166,6 +168,70 @@ def test_embed_matches_oracle_past_slot_cache_capacity():
         for row, text in zip(matrix, texts):
             assert row.tolist() == [float(v) for v in oracle_embed(text)]
     assert _token_slot.cache_info().currsize <= capacity
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "\u212aKEY",  # Kelvin sign: lowercases to an ASCII "k"
+        "\u0130stanbul \u0130",  # dotted capital I: lowercases to "i" plus a combining dot
+        "ab\ud800cd \udfff\udc00x y\ud83d",  # lone surrogates split tokens, never raise
+        "nul\x00byte\x01ctl\x7f\x1b[0m tab\tcr\r\nend",
+        "٣٤ １２ x² ⑧ 9٠",  # non-ASCII digits
+        "ＡＢｃ ｎｍａｐ ＡＢ12",  # full-width letters
+        "café naïve ÉCOLE ß ﬁle",
+        "",
+        " \t\n ",
+    ],
+)
+def test_embed_matches_oracle_on_tokeniser_edge_cases(text):
+    for dimension in (1, 7, 256):
+        row = HashingEmbedder(dimension).embed([text])[0]
+        assert row.tolist() == [float(v) for v in oracle_embed(text, dimension)]
+
+
+@pytest.mark.parametrize(
+    "count",
+    [0, 1, EMBED_BLOCK - 1, EMBED_BLOCK, EMBED_BLOCK + 1, 2 * EMBED_BLOCK + 1],
+)
+def test_embed_matches_oracle_across_block_boundaries(count):
+    rng = random.Random(count)
+    texts = [_words(rng, rng.randrange(1, 40)) for _ in range(count)]
+    # token-free rows between rows with tokens, and a whole token-free block
+    texts[1::3] = ["-- !! ..."] * len(texts[1::3])
+    if count > 2 * EMBED_BLOCK:
+        texts[EMBED_BLOCK : 2 * EMBED_BLOCK] = [""] * EMBED_BLOCK
+    matrix = HashingEmbedder().embed(texts)
+    assert matrix.shape == (count, 256)
+    assert matrix.dtype == np.float64
+    for row, text in zip(matrix, texts):
+        assert row.tolist() == [float(v) for v in oracle_embed(text)]
+
+
+def test_embed_of_no_texts_is_empty_float64():
+    matrix = HashingEmbedder(7).embed([])
+    assert matrix.shape == (0, 7)
+    assert matrix.dtype == np.float64
+
+
+def test_embed_scratch_memory_is_bounded_by_the_block():
+    rng = random.Random(5)
+    vocabulary = [f"w{i}x" for i in range(5000)] + ["scan", "port", "cve"]
+    texts = []
+    for _ in range(2000):
+        text = ""
+        while len(text) < 512:
+            text += rng.choice(vocabulary) + rng.choice(" .,/-\n")
+        texts.append(text[:512])
+    embedder = HashingEmbedder()
+    embedder.embed(texts)  # fill the slot cache, which is bounded on its own
+    tracemalloc.start()
+    try:
+        matrix = embedder.embed(texts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix.nbytes + 2 * 1024 * 1024
 
 
 def test_self_similarity_is_exactly_one():
@@ -455,6 +521,59 @@ def test_memory_corpus_retrieves_like_disk_corpus_reloaded(
     assert [(h.chunk, h.score) for h in memory.retrieve("c", query, k=k)] == [
         (h.chunk, h.score) for h in reloaded.retrieve("c", query, k=k)
     ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    steps=st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("index"),
+                st.lists(
+                    st.tuples(
+                        st.sampled_from(["a", "b", "zz"]),
+                        st.lists(
+                            st.sampled_from(["scan", "port", "tls", "cve", "x" * 40]),
+                            max_size=30,
+                        ).map(" ".join),
+                    ),
+                    max_size=4,
+                ),
+            ),
+            st.tuples(
+                st.just("retrieve"),
+                st.sampled_from(["scan", "port tls", "cve cve scan", "ftp"]),
+            ),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    k=st.integers(min_value=1, max_value=20),
+)
+def test_interleaved_index_and_retrieve_match_oracle(tmp_path_factory, steps, k):
+    # cached per-corpus state (tie ranks, row norms) must follow every append
+    store = RagStore(tmp_path_factory.mktemp("interleaved"))
+    oracle_chunks = []
+    for op, arg in steps:
+        if op == "index":
+            store.index(
+                "c",
+                [(doc_id, text, "u") for doc_id, text in arg],
+                chunk_size=64,
+                overlap=8,
+                in_memory=True,
+            )
+            for doc_id, text in arg:
+                for idx, piece in enumerate(chunk_text(text, 64, 8)):
+                    oracle_chunks.append((doc_id, idx, piece))
+        elif store.corpus_exists("c"):
+            hits = store.retrieve("c", arg, k=k)
+            got = [(h.chunk.doc_id, h.chunk.chunk_index) for h in hits]
+            assert got == oracle_rank(oracle_chunks, arg)[:k]
+            for hit in hits:
+                assert hit.score == oracle_cosine(
+                    oracle_embed(hit.chunk.text), oracle_embed(arg)
+                )
 
 
 def test_memory_corpus_is_seen_only_by_its_store(tmp_path):
