@@ -10,9 +10,19 @@ import random
 import threading
 import time
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from pentestflow import cli
+from pentestflow.agentloop import StopReason
 from pentestflow.bench import classify_difficulty, run_benchmark
-from pentestflow.execution import ExecutionAgent, ExploitOutcome, OutcomeStatus
+from pentestflow.execution import (
+    ExecutionAgent,
+    ExploitOutcome,
+    OutcomeStatus,
+    ParameterRequirement,
+    ParamSource,
+)
 from pentestflow.gateway import (
     ChatSession,
     ResponseSchema,
@@ -427,6 +437,81 @@ def test_criterion_02_exploit_termination(tmp_path):
             violations += 1
     assert violations == 0
     _pass(2, "exploit loop terminates within bounds (1000 transcripts)")
+
+
+_LOOP_REPLIES = st.lists(
+    st.sampled_from(["garbage", "empty", "done", "fresh"]), min_size=8, max_size=8
+)
+
+
+def _loop_reply(kind: str, turn: int, success: bool) -> str:
+    if kind == "garbage":
+        return "no json in this reply"
+    doc = {"thought": "t", "command": "", "done": kind == "done"}
+    if kind == "fresh":
+        doc["command"] = f"fresh-{turn}"
+    if kind == "done":
+        doc.update(success=success, evidence="ran: fresh-0")
+    return json.dumps(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kinds=_LOOP_REPLIES,
+    success=st.booleans(),
+    fail_at=st.one_of(st.none(), st.integers(min_value=0, max_value=7)),
+    ceiling=st.integers(min_value=1, max_value=8),
+)
+def test_criterion_02_loops_agree(tmp_path_factory, kinds, success, fail_at, ceiling):
+    """Recon and exploitation run one loop: on replies that neither agent's
+    own rule reacts to, they take the same turns, run the same commands and
+    stop for corresponding reasons."""
+    replies = [_loop_reply(kind, turn, success) for turn, kind in enumerate(kinds)]
+    if fail_at is not None:
+        replies = replies[:fail_at]  # the next completion raises
+
+    def session():
+        backend = ScriptedBackend(responses=list(replies))
+        return ChatSession("loop", "sys", WIDE_PROFILE, backend, max_repairs=0)
+
+    state = ReconState(target=TARGET, scope=(TARGET,), max_iterations=ceiling)
+    recon_executor = StubExecutor()
+    run_recon(state, session(), recon_executor)
+    exploit_executor = StubExecutor()
+    rag = RagStore(tmp_path_factory.mktemp("rag"))
+    agent = ExecutionAgent(exploit_executor, rag, (TARGET,), max_steps=ceiling)
+    params = [
+        ParameterRequirement(name="target", value=TARGET, source=ParamSource.DEFAULT)
+    ]
+    outcome = agent.exploit_loop(
+        ExploitNode(source_ref="repo/poc", effect="remote command execution"),
+        params,
+        session(),
+    )
+
+    # the oracle: walk the replies turn by turn
+    turns, reason = 0, StopReason.MAX_ITERATIONS
+    for turn in range(ceiling):
+        if turn == fail_at:
+            reason = StopReason.FATAL_ERROR
+            break
+        turns += 1
+        if kinds[turn] == "done":
+            reason = StopReason.AGENT_DECLARED_DONE
+            break
+    commands = [f"fresh-{t}" for t in range(turns) if kinds[t] == "fresh"]
+
+    assert state.iteration == outcome.steps_taken == turns
+    assert recon_executor.commands == exploit_executor.commands == commands
+    assert state.stop_reason is reason
+    if reason is StopReason.AGENT_DECLARED_DONE:
+        assert outcome.status in (OutcomeStatus.SUCCESS, OutcomeStatus.FAILED)
+        assert not outcome.evidence.startswith("gateway failure:")
+    elif reason is StopReason.MAX_ITERATIONS:
+        assert outcome.status is OutcomeStatus.ABORTED_MAX_STEPS
+    else:
+        assert outcome.status is OutcomeStatus.FAILED
+        assert outcome.evidence.startswith("gateway failure:")
 
 
 # ---------------------------------------------------------------------------

@@ -422,6 +422,61 @@ def test_bench_subcommand_smoke(tmp_path, recorded_transcripts, capsys):
     assert aggregates["per_difficulty"]["easy"] == {"targets": 1, "success_rate": 0.0}
 
 
+def test_bench_applies_run_flags_without_target(tmp_path, monkeypatch):
+    manifest_dir = tmp_path / "manifests"
+    manifest_dir.mkdir()
+    for name in ("alpha", "beta"):
+        (manifest_dir / f"{name}.json").write_text(
+            json.dumps(
+                {
+                    "name": name,
+                    "application": "DemoSrv",
+                    "version": "1.2.3",
+                    "target_address": TARGET,
+                    "cves": {"CVE-2024-0001": {"epss": 50.0, "exploitability": 3.9}},
+                }
+            ),
+            encoding="utf-8",
+        )
+    configs = []
+
+    class CapturingRunner:
+        def __init__(self, config, connectors=()):
+            configs.append(config)
+
+        def run_all(self):
+            raise RuntimeError("the config is all this test needs")
+
+    monkeypatch.setattr(cli, "PipelineRunner", CapturingRunner)
+    record = tmp_path / "rec"
+    rc = cli.main(
+        [
+            "bench",
+            "--manifests",
+            str(manifest_dir),
+            "--output",
+            str(tmp_path / "out"),
+            "--max-steps",
+            "3",
+            "--max-iterations",
+            "4",
+            "--max-repairs",
+            "1",
+            "--record",
+            str(record),
+            "--force",
+        ]
+    )
+    assert rc == cli.EXIT_OK
+    assert [c.application for c in configs] == ["DemoSrv", "DemoSrv"]
+    for config, name in zip(configs, ("alpha", "beta")):
+        assert (config.max_steps, config.max_iterations, config.max_repairs) == (3, 4, 1)
+        assert config.force_stages is True
+        assert config.record_dir == str(record / name)
+        assert config.target == TARGET
+        assert config.output_dir == str(tmp_path / "out" / "runs" / name)
+
+
 def test_acquire_record_writes_record_and_transcripts(tmp_path, capsys):
     fixtures = tmp_path / "fixtures"
     write_fixture(

@@ -260,6 +260,17 @@ def test_loop_hits_step_ceiling(tmp_path):
     assert outcome.steps_taken == 5
 
 
+def test_loop_ceiling_of_zero_runs_no_step(tmp_path):
+    executor = StubExecutor()
+    agent = make_agent(tmp_path, executor, max_steps=0)
+    session = make_session([])  # would fail the loop if consulted
+    outcome = agent.exploit_loop(make_exploit(), filled("target"), session)
+    assert outcome.status is OutcomeStatus.ABORTED_MAX_STEPS
+    assert outcome.steps_taken == 0
+    assert session.backend.calls == 0
+    assert executor.commands == []
+
+
 def test_loop_invalid_responses_consume_steps(tmp_path):
     executor = StubExecutor()
     agent = make_agent(tmp_path, executor, max_steps=2)

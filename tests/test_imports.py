@@ -1,12 +1,18 @@
-"""Every module of the package uses each name it imports.
+"""Dead code checks over the package source.
 
-A stdlib-ast scan: an imported name that no expression in the module reads
-(as a name, the root of an attribute chain, or an entry of ``__all__``) is
-dead. ``__init__.py`` files are skipped, since their imports are re-exports,
-and so are ``from __future__`` imports.
+Every module uses each name it imports: a stdlib-ast scan treats an imported
+name that no expression in the module reads (as a name, the root of an
+attribute chain, or an entry of ``__all__``) as dead. ``__init__.py`` files
+are skipped, since their imports are re-exports, and so are ``from
+__future__`` imports.
+
+Every module-level function and class is named somewhere in the package
+source outside its own definition, is listed in an ``__all__``, or is on
+``KEPT_DEFINITIONS`` with the reason it stays.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pentestflow
@@ -61,3 +67,70 @@ def test_package_modules_have_no_unused_imports():
         if (unused := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+# name -> why it stays although nothing in the package names it
+KEPT_DEFINITIONS = {
+    "ScriptedBackend": (
+        "the perfbench scripted model's backend and the tests' fake model"
+    ),
+}
+
+
+def dead_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and classes that no other line of the given
+    sources (module name -> text) names as a word, and no ``__all__`` lists."""
+    exported: set[str] = set()
+    definitions = []
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                first = min([d.lineno for d in node.decorator_list] + [node.lineno])
+                definitions.append((module, node.name, first, node.end_lineno))
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported.update(
+                    e.value for e in node.value.elts if isinstance(e, ast.Constant)
+                )
+    dead = []
+    for module, name, first, last in definitions:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        named = any(
+            word.search(line)
+            for other, text in sources.items()
+            for number, line in enumerate(text.splitlines(), start=1)
+            if other != module or not first <= number <= last
+        )
+        if not named and name not in exported:
+            dead.append(f"{module}.{name}")
+    return sorted(dead)
+
+
+def test_dead_definition_oracle():
+    sources = {
+        "a": (
+            "__all__ = ['exported']\n"
+            "def exported():\n    pass\n"
+            "def recursive():\n    return recursive()\n"
+            "@decorator\ndef used():\n    pass\n"
+            'class Lonely:\n    """Only Lonely itself names Lonely."""\n'
+            "def mentioned():\n    pass\n"
+        ),
+        "b": "from a import used\nused()\n# mentioned by a comment\n",
+    }
+    assert dead_definitions(sources) == ["a.Lonely", "a.recursive"]
+
+
+def test_package_has_no_dead_definitions():
+    paths = sorted(PACKAGE_DIR.rglob("*.py"))
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in paths}
+    assert len(sources) == len(paths)  # module stems are unique
+    # the allowlist holds exactly what the scan flags, so an entry that is
+    # deleted, or becomes named, has to leave it
+    assert dead_definitions(sources) == sorted(
+        f"{module}.{name}"
+        for module, text in sources.items()
+        for name in KEPT_DEFINITIONS
+        if re.search(rf"^(?:class|def) {name}\b", text, re.M)
+    )

@@ -32,7 +32,6 @@ from pentestflow.rag import (
     chunk_text,
     _token_slot,
     cosine_scores,
-    cosine_similarity,
 )
 
 from conftest import scripted_session
@@ -52,7 +51,7 @@ def oracle_embed(text: str, dimension: int = 256) -> list[int]:
     return vec
 
 
-def oracle_cosine(a: list[int], b: list[int]) -> float:
+def oracle_cosine(a: list[float], b: list[float]) -> float:
     dot = sum(x * y for x, y in zip(a, b))
     na2 = sum(x * x for x in a)
     nb2 = sum(y * y for y in b)
@@ -241,20 +240,24 @@ def test_self_similarity_is_exactly_one():
     for row in matrix:
         scores = cosine_scores(matrix, row)
         assert 1.0 in scores.tolist()
-    # scalar variant too
+    # the scalar oracle too
     vec = matrix[0].tolist()
-    assert cosine_similarity(vec, vec) == 1.0
+    assert oracle_cosine(vec, vec) == 1.0
 
 
 def test_cosine_symmetry_orthogonality_and_zero():
+    def cosine(x, y):
+        matrix = np.array([x], dtype=np.float64)
+        return float(cosine_scores(matrix, np.array(y, dtype=np.float64))[0])
+
     a = [1.0, 0.0, 2.0]
     b = [0.0, 3.0, 0.0]
     zero = [0.0, 0.0, 0.0]
-    assert cosine_similarity(a, b) == cosine_similarity(b, a) == 0.0
-    assert cosine_similarity(a, zero) == 0.0
-    assert cosine_similarity(zero, zero) == 0.0
-    assert -1.0 <= cosine_similarity([1, 2, 3], [-1, -2, -3]) <= 1.0
-    assert cosine_similarity([1, 2], [-1, -2]) == -1.0
+    assert cosine(a, b) == cosine(b, a) == 0.0
+    assert cosine(a, zero) == 0.0
+    assert cosine(zero, zero) == 0.0
+    assert -1.0 <= cosine([1, 2, 3], [-1, -2, -3]) <= 1.0
+    assert cosine([1, 2], [-1, -2]) == -1.0
 
 
 def test_cosine_scores_matches_scalar_path():
@@ -266,9 +269,7 @@ def test_cosine_scores_matches_scalar_path():
     qvec = np.array([rng.randrange(0, 5) for _ in range(16)], dtype=np.float64)
     vector_scores = cosine_scores(matrix, qvec)
     for i in range(30):
-        assert vector_scores[i] == cosine_similarity(
-            matrix[i].tolist(), qvec.tolist()
-        )
+        assert vector_scores[i] == oracle_cosine(matrix[i].tolist(), qvec.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,18 @@ def test_max_iterations_with_distinct_commands():
     assert len(executor.commands) == 5
 
 
+def test_ceiling_of_zero_runs_no_turn():
+    # both loops agree: a ceiling of 0 asks the model nothing and runs nothing
+    state = make_state(max_iterations=0)
+    session = make_session([])  # would fail the loop if consulted
+    executor = StubExecutor()
+    run_recon(state, session, executor)
+    assert state.stop_reason == StopReason.MAX_ITERATIONS
+    assert state.iteration == 0
+    assert session.backend.calls == 0
+    assert executor.commands == []
+
+
 def test_gateway_failure_is_fatal():
     state = make_state()
     # zero scripted responses: the first completion raises BackendUnreachable

@@ -13,7 +13,6 @@ from pentestflow.search import (
     AttackSurfaceCandidate,
     ConnectorKind,
     ConnectorUnavailable,
-    ExploitDbConnector,
     FixtureConnector,
     SearchAgent,
     SearchAgentConfig,
@@ -147,25 +146,6 @@ def test_search_dedupes_uris_across_connectors(tmp_path):
     )
     docs = agent.search(SearchQuery(ConnectorKind.GENERAL_WEB, "q", max_results=5))
     assert [d.uri for d in docs] == ["https://same.org", "https://other.org"]
-
-
-def test_exploit_db_connector(tmp_path):
-    csv_path = tmp_path / "files_exploits.csv"
-    csv_path.write_text(
-        "id,file,description,date,author,type,platform,port,codes\n"
-        '51689,exploits/multiple/remote/51689.py,"Apache ActiveMQ 5.17.3 - Remote Code Execution",2023-11-01,x,remote,multiple,,CVE-2023-46604\n'
-        '10000,exploits/linux/local/10000.c,"Something Else Entirely",2010-01-01,y,local,linux,,\n',
-        encoding="utf-8",
-    )
-    connector = ExploitDbConnector(csv_path)
-    docs = connector.search("activemq CVE-2023-46604", 5)
-    assert len(docs) == 1
-    assert docs[0].uri.endswith("/51689")
-    assert "ActiveMQ" in docs[0].title
-
-    missing = ExploitDbConnector(tmp_path / "absent.csv")
-    with pytest.raises(ConnectorUnavailable):
-        missing.search("q", 1)
 
 
 # ---------------------------------------------------------------------------
