@@ -477,6 +477,42 @@ def test_bench_applies_run_flags_without_target(tmp_path, monkeypatch):
         assert config.output_dir == str(tmp_path / "out" / "runs" / name)
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--application", "Other"], "'application' field"),
+        (["--app-version", "9.9"], "'version' field"),
+        (["--replay", "one", "--replay-root", "many"], "--replay-root"),
+    ],
+)
+def test_bench_refuses_flags_the_manifests_replace(
+    tmp_path, monkeypatch, capsys, flags, named
+):
+    manifest_dir = tmp_path / "manifests"
+    manifest_dir.mkdir()
+    (manifest_dir / "alpha.json").write_text(
+        json.dumps(
+            {
+                "name": "alpha",
+                "application": "DemoSrv",
+                "version": "1.2.3",
+                "target_address": TARGET,
+                "cves": {"CVE-2024-0001": {"epss": 50.0, "exploitability": 3.9}},
+            }
+        ),
+        encoding="utf-8",
+    )
+
+    def no_runner(*args, **kwargs):
+        raise AssertionError("a refused bench must run no target")
+
+    monkeypatch.setattr(cli, "PipelineRunner", no_runner)
+    argv = ["bench", "--manifests", str(manifest_dir), "--output", str(tmp_path / "o")]
+    assert cli.main(argv + flags) == cli.EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_acquire_record_writes_record_and_transcripts(tmp_path, capsys):
     fixtures = tmp_path / "fixtures"
     write_fixture(

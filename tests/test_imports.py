@@ -6,9 +6,10 @@ attribute chain, or an entry of ``__all__``) as dead. ``__init__.py`` files
 are skipped, since their imports are re-exports, and so are ``from
 __future__`` imports.
 
-Every module-level function and class is named somewhere in the package
-source outside its own definition, is listed in an ``__all__``, or is on
-``KEPT_DEFINITIONS`` with the reason it stays.
+Every module-level function, class and constant (a name a module-level
+assignment binds) is named somewhere in the package source outside its own
+definition, is listed in an ``__all__``, or is on ``KEPT_DEFINITIONS`` with
+the reason it stays.
 """
 
 import ast
@@ -74,12 +75,32 @@ KEPT_DEFINITIONS = {
     "ScriptedBackend": (
         "the perfbench scripted model's backend and the tests' fake model"
     ),
+    "MANIFEST_NAME": (
+        "perfbench/tracing.py joins it to RagStore.root on every traced retrieve"
+    ),
 }
 
 
+def _assigned_names(node: ast.stmt) -> list[str]:
+    """Names a module-level assignment binds, including tuple unpacking."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+        targets = [node.target]
+    else:
+        return []
+    return [
+        leaf.id
+        for target in targets
+        for leaf in ast.walk(target)
+        if isinstance(leaf, ast.Name)
+    ]
+
+
 def dead_definitions(sources: dict[str, str]) -> list[str]:
-    """Module-level functions and classes that no other line of the given
-    sources (module name -> text) names as a word, and no ``__all__`` lists."""
+    """Module-level functions, classes and constants that no other line of
+    the given sources (module name -> text) names as a word, and no
+    ``__all__`` lists."""
     exported: set[str] = set()
     definitions = []
     for module, text in sources.items():
@@ -87,11 +108,14 @@ def dead_definitions(sources: dict[str, str]) -> list[str]:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 first = min([d.lineno for d in node.decorator_list] + [node.lineno])
                 definitions.append((module, node.name, first, node.end_lineno))
-            elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-            ):
+            elif "__all__" in _assigned_names(node):
                 exported.update(
                     e.value for e in node.value.elts if isinstance(e, ast.Constant)
+                )
+            else:
+                definitions.extend(
+                    (module, name, node.lineno, node.end_lineno)
+                    for name in _assigned_names(node)
                 )
     dead = []
     for module, name, first, last in definitions:
@@ -122,6 +146,22 @@ def test_dead_definition_oracle():
     assert dead_definitions(sources) == ["a.Lonely", "a.recursive"]
 
 
+def test_dead_constant_oracle():
+    sources = {
+        "a": (
+            "__all__ = ['EXPORTED']\n"
+            "EXPORTED = 1\n"
+            "UNUSED = 2  # UNUSED on its own line does not count\n"
+            "SELF = [\n    'SELF',\n]\n"
+            "USED_HERE: int = 3\n"
+            "LEFT, RIGHT = 4, 5\n"
+            "def f():\n    return USED_HERE + LEFT\n"
+        ),
+        "b": "from a import f\nf()\nIMPORTED_ELSEWHERE = 6\nprint(IMPORTED_ELSEWHERE)\n",
+    }
+    assert dead_definitions(sources) == ["a.RIGHT", "a.SELF", "a.UNUSED"]
+
+
 def test_package_has_no_dead_definitions():
     paths = sorted(PACKAGE_DIR.rglob("*.py"))
     sources = {path.stem: path.read_text(encoding="utf-8") for path in paths}
@@ -132,5 +172,5 @@ def test_package_has_no_dead_definitions():
         f"{module}.{name}"
         for module, text in sources.items()
         for name in KEPT_DEFINITIONS
-        if re.search(rf"^(?:class|def) {name}\b", text, re.M)
+        if re.search(rf"^(?:(?:class|def) {name}\b|{name}\s*[:=])", text, re.M)
     )

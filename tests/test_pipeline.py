@@ -665,7 +665,7 @@ def prompt_recording_factory(scripts, prompts):
     return factory
 
 
-def test_run_dir_keeps_only_env_and_tooldocs_corpora(tmp_path):
+def test_run_all_keeps_no_corpus_on_disk(tmp_path):
     config, connectors, scripts = online_setup(tmp_path)
     prompts = {}
     runner = PipelineRunner(
@@ -681,8 +681,10 @@ def test_run_dir_keeps_only_env_and_tooldocs_corpora(tmp_path):
     assert "CVE-2024-0002" in {n.cve_id for n in runner.tree.vulnerabilities("DemoSrv")}
     assert any("https://adv.example/2" in p for p in prompts["search-surfaces-demosrv"])
     assert "file://" in prompts["prep-0"][0]
-    corpora = sorted(p.name for p in (runner.run_dir / "rag").iterdir())
-    assert corpora == sorted([env_corpus_id(TARGET), TOOLDOCS_CORPUS])
+    assert runner.rag.corpus_exists(env_corpus_id(TARGET))
+    assert runner.rag.corpus_exists(TOOLDOCS_CORPUS)
+    assert not (runner.run_dir / "rag").exists()
+    assert not (runner.run_dir / "env").exists()
 
 
 def test_second_runner_reruns_exploitation_identically(tmp_path):
@@ -714,3 +716,39 @@ def test_second_runner_reruns_exploitation_identically(tmp_path):
     assert after["success_index"] == before["success_index"] == 0
     for name in ("prep-0", "exploit-0"):
         assert second_prompts[name] == first_prompts[name]
+
+
+def test_staged_runners_match_one_run_all(tmp_path):
+    config, connectors, scripts = online_setup(tmp_path)
+    kb_dir = Path(config.knowledge_dir)
+    shutil.copytree(kb_dir, tmp_path / "kb-pristine")
+
+    def runner(prompts):
+        return PipelineRunner(
+            config,
+            connectors=connectors,
+            clock=ReplayClock(),
+            backend_factory=prompt_recording_factory(scripts, prompts),
+            executor=StubExecutor(),
+        )
+
+    whole_prompts: dict = {}
+    assert runner(whole_prompts).run_all().success_index == 0
+    # the same run again, from scratch, as three constructions over one run
+    # directory with one stage each, as the recon, plan and exploit
+    # subcommands run them
+    shutil.rmtree(config.output_dir)
+    shutil.rmtree(kb_dir)
+    shutil.copytree(tmp_path / "kb-pristine", kb_dir)
+    staged_prompts: dict = {}
+    for stage in ("run_intelligence", "run_analysis", "run_exploitation"):
+        staged = runner(staged_prompts)
+        getattr(staged, stage)()
+    assert staged.record.success_index == 0
+    assert sorted(p.name for p in staged.run_dir.iterdir() if p.is_dir()) == [
+        "transcripts"
+    ]
+    names = [n for n in whole_prompts if n.startswith(("prep-", "exploit-"))]
+    assert names == ["prep-0", "exploit-0"]
+    for name in names:
+        assert staged_prompts[name] == whole_prompts[name]

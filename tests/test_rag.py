@@ -7,7 +7,6 @@ arithmetic on integer-valued vectors.
 """
 
 import hashlib
-import json
 import math
 import random
 import re
@@ -23,10 +22,8 @@ from pentestflow.gateway import ResponseSchema, register_schema
 from pentestflow.rag import (
     CHUNK_OVERLAP,
     CHUNK_SIZE,
-    CorpusCorrupt,
     CorpusMissing,
     EMBED_BLOCK,
-    EmbedderMismatch,
     HashingEmbedder,
     RagStore,
     chunk_text,
@@ -392,83 +389,8 @@ def test_ranking_with_many_exact_ties_matches_oracle(tmp_path_factory, documents
 
 
 # ---------------------------------------------------------------------------
-# Persistence
+# Corpus lifecycle: every corpus lives in its store's memory
 # ---------------------------------------------------------------------------
-
-
-def test_reload_gives_identical_hits(tmp_path):
-    rng = random.Random(3)
-    store = RagStore(tmp_path)
-    documents = [
-        (f"d{i}", _words(rng, rng.randrange(5, 40)), f"u{i}") for i in range(8)
-    ]
-    store.index("c", documents)
-    query = "nmap port scan"
-    before = store.retrieve("c", query, k=6)
-
-    reopened = RagStore(tmp_path)
-    after = reopened.retrieve("c", query, k=6)
-    assert [(h.chunk.doc_id, h.chunk.chunk_index, h.score) for h in before] == [
-        (h.chunk.doc_id, h.chunk.chunk_index, h.score) for h in after
-    ]
-    assert [h.chunk.text for h in before] == [h.chunk.text for h in after]
-
-
-def test_save_load_save_byte_identity(tmp_path):
-    rng = random.Random(11)
-    for trial in range(10):
-        root = tmp_path / f"r{trial}"
-        store = RagStore(root)
-        documents = [
-            (f"d{i}", _words(rng, rng.randrange(1, 60)), f"uri://{i}")
-            for i in range(rng.randrange(1, 10))
-        ]
-        store.index("c", documents)
-        manifest_before = (root / "c" / "manifest.json").read_bytes()
-        chunks_before = (root / "c" / "chunks.jsonl").read_bytes()
-
-        reopened = RagStore(root)
-        reopened.persist("c")
-        assert (root / "c" / "manifest.json").read_bytes() == manifest_before
-        assert (root / "c" / "chunks.jsonl").read_bytes() == chunks_before
-
-
-def test_appending_index_calls_equal_one_full_rewrite(tmp_path):
-    rng = random.Random(29)
-    documents = [
-        (f"d{i:02d}", _words(rng, rng.randrange(1, 200)), f"uri://{i}") for i in range(50)
-    ]
-    store = RagStore(tmp_path / "appended")
-    for document in documents:
-        store.index("c", [document])
-    appended = tmp_path / "appended" / "c"
-    manifest = (appended / "manifest.json").read_bytes()
-    chunks = (appended / "chunks.jsonl").read_bytes()
-    assert json.loads(manifest)["chunk_count"] == len(chunks.splitlines())
-
-    RagStore(tmp_path / "appended").persist("c")
-    assert (appended / "manifest.json").read_bytes() == manifest
-    assert (appended / "chunks.jsonl").read_bytes() == chunks
-    RagStore(tmp_path / "single").index("c", documents)
-    assert (tmp_path / "single" / "c" / "manifest.json").read_bytes() == manifest
-    assert (tmp_path / "single" / "c" / "chunks.jsonl").read_bytes() == chunks
-
-    reopened = RagStore(tmp_path / "appended")
-    for query in ("nmap port scan", "tls banner", "cve host probe"):
-        before = store.retrieve("c", query, k=10)
-        after = reopened.retrieve("c", query, k=10)
-        assert [(h.chunk, h.score) for h in before] == [(h.chunk, h.score) for h in after]
-
-
-def test_crash_before_manifest_rewrite_is_detected(tmp_path):
-    store = RagStore(tmp_path)
-    store.index("c", [("a", "first document", "u")])
-    old_manifest = (tmp_path / "c" / "manifest.json").read_bytes()
-    store.index("c", [("b", "second document", "u")])
-    # as if the process died after appending chunk lines, before the manifest
-    (tmp_path / "c" / "manifest.json").write_bytes(old_manifest)
-    with pytest.raises(CorpusCorrupt):
-        RagStore(tmp_path).retrieve("c", "document", k=1)
 
 
 def test_drop_removes_corpus_and_cache(tmp_path):
@@ -481,11 +403,6 @@ def test_drop_removes_corpus_and_cache(tmp_path):
     store.index("c", [("new", "fresh words", "u")])
     assert [h.chunk.doc_id for h in store.retrieve("c", "stale fresh", k=5)] == ["new"]
     store.drop("absent")  # dropping a missing corpus is a no-op
-
-
-# ---------------------------------------------------------------------------
-# Memory-only corpora
-# ---------------------------------------------------------------------------
 
 
 @settings(max_examples=40, deadline=None)
@@ -505,23 +422,31 @@ def test_drop_removes_corpus_and_cache(tmp_path):
     query=st.sampled_from(["scan", "port tls", "cve héllo", "ftp"]),
     k=st.integers(min_value=1, max_value=20),
 )
-def test_memory_corpus_retrieves_like_disk_corpus_reloaded(
+def test_memory_corpus_retrieves_like_one_index_and_oracle(
     tmp_path_factory, documents, split, query, k
 ):
     docs = [(doc_id, text, f"uri://{doc_id}") for doc_id, text in documents]
     root = tmp_path_factory.mktemp("memory")
-    memory = RagStore(root)
-    # two index calls, so the oracle also covers appends to a memory corpus
-    memory.index("c", docs[:split], chunk_size=64, overlap=8, in_memory=True)
-    memory.index("c", docs[split:], chunk_size=64, overlap=8, in_memory=True)
-    assert list(root.iterdir()) == []
+    memory = RagStore(root / "rag")
+    # two index calls, so the oracle also covers appends to a corpus
+    memory.index("c", docs[:split], chunk_size=64, overlap=8)
+    memory.index("c", docs[split:], chunk_size=64, overlap=8)
+    assert list(root.iterdir()) == []  # the store never creates its root
 
-    disk_root = tmp_path_factory.mktemp("disk")
-    RagStore(disk_root).index("c", docs, chunk_size=64, overlap=8)
-    reloaded = RagStore(disk_root)
-    assert [(h.chunk, h.score) for h in memory.retrieve("c", query, k=k)] == [
-        (h.chunk, h.score) for h in reloaded.retrieve("c", query, k=k)
+    single = RagStore(root / "single")
+    single.index("c", docs, chunk_size=64, overlap=8)
+    hits = memory.retrieve("c", query, k=k)
+    assert [(h.chunk, h.score) for h in hits] == [
+        (h.chunk, h.score) for h in single.retrieve("c", query, k=k)
     ]
+    oracle_chunks = [
+        (doc_id, idx, piece)
+        for doc_id, text, _ in docs
+        for idx, piece in enumerate(chunk_text(text, 64, 8))
+    ]
+    assert [(h.chunk.doc_id, h.chunk.chunk_index) for h in hits] == (
+        oracle_rank(oracle_chunks, query)[:k]
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -562,7 +487,6 @@ def test_interleaved_index_and_retrieve_match_oracle(tmp_path_factory, steps, k)
                 [(doc_id, text, "u") for doc_id, text in arg],
                 chunk_size=64,
                 overlap=8,
-                in_memory=True,
             )
             for doc_id, text in arg:
                 for idx, piece in enumerate(chunk_text(text, 64, 8)):
@@ -579,7 +503,7 @@ def test_interleaved_index_and_retrieve_match_oracle(tmp_path_factory, steps, k)
 
 def test_memory_corpus_is_seen_only_by_its_store(tmp_path):
     store = RagStore(tmp_path)
-    assert store.index("c", [("a", "port scan", "u")], in_memory=True) == 1
+    assert store.index("c", [("a", "port scan", "u")]) == 1
     assert store.corpus_exists("c")
     assert [h.chunk.doc_id for h in store.retrieve("c", "scan", k=1)] == ["a"]
     assert list(tmp_path.iterdir()) == []
@@ -589,39 +513,6 @@ def test_memory_corpus_is_seen_only_by_its_store(tmp_path):
         fresh.retrieve("c", "scan", k=1)
     store.drop("c")
     assert not store.corpus_exists("c")
-
-
-def test_corpus_placement_is_fixed_by_its_first_index(tmp_path):
-    store = RagStore(tmp_path)
-    store.index("mem", [("a", "port scan", "u")], in_memory=True)
-    store.index("disk", [("a", "port scan", "u")])
-    with pytest.raises(ValueError, match="in memory only"):
-        store.index("mem", [("b", "tls", "u")])
-    with pytest.raises(ValueError, match="in memory only"):
-        store.persist("mem")
-    with pytest.raises(ValueError, match="on disk"):
-        store.index("disk", [("b", "tls", "u")], in_memory=True)
-    # a store that has not cached the disk corpus yet refuses it too
-    with pytest.raises(ValueError, match="on disk"):
-        RagStore(tmp_path).index("disk", [("b", "tls", "u")], in_memory=True)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["disk"]
-    assert [h.chunk.doc_id for h in store.retrieve("mem", "tls scan", k=5)] == ["a"]
-
-
-def test_embedder_mismatch_detected(tmp_path):
-    store = RagStore(tmp_path, embedder=HashingEmbedder(dimension=64))
-    store.index("c", [("d", "text", "u")])
-    other = RagStore(tmp_path, embedder=HashingEmbedder(dimension=128))
-    with pytest.raises(EmbedderMismatch):
-        other.retrieve("c", "text", k=1)
-
-
-def test_corrupt_manifest_detected(tmp_path):
-    store = RagStore(tmp_path)
-    store.index("c", [("d", "text", "u")])
-    (tmp_path / "c" / "manifest.json").write_text('{"magic": "wrong"}')
-    with pytest.raises(CorpusCorrupt):
-        RagStore(tmp_path).retrieve("c", "text", k=1)
 
 
 def test_bad_corpus_ids_rejected(tmp_path):

@@ -7,14 +7,15 @@ import random
 import pytest
 
 from pentestflow.gateway import ChatSession, ScriptedBackend
+from pentestflow.pipeline import RunConfig, RunRecord, load_record, save_record
 from pentestflow.rag import RagStore
 from pentestflow.recon import (
-    EnvironmentStore,
     EnvironmentSummary,
     ReconState,
     ServiceFingerprint,
     StopReason,
     env_corpus_id,
+    index_environment,
     is_target_identified,
     recon_step,
     run_recon,
@@ -245,7 +246,6 @@ def finished_state(history=None):
 
 
 def test_summary_happy_path(tmp_path):
-    store = EnvironmentStore(tmp_path / "env")
     rag = RagStore(tmp_path / "rag")
     state = finished_state(["nmap -sV 127.0.0.1"])
     session = make_session(
@@ -265,7 +265,7 @@ def test_summary_happy_path(tmp_path):
         ]
     )
     summary = summarize_environment(
-        state, session, store, rag, collected_at="2024-01-01T00:00:00Z"
+        state, session, rag, collected_at="2024-01-01T00:00:00Z"
     )
     assert summary.os_guess == "linux"
     assert len(summary.fingerprints) == 1
@@ -273,21 +273,17 @@ def test_summary_happy_path(tmp_path):
     assert (fp.port, fp.product, fp.version) == (8161, "ActiveMQ", "5.17.3")
     assert fp.host == TARGET
 
-    # persisted: store round-trips the same summary
-    assert store.load(TARGET) == summary
     # indexed: the env corpus is retrievable
     hits = rag.retrieve(env_corpus_id(TARGET), "ActiveMQ product version", k=2)
     assert any("ActiveMQ" in h.chunk.text for h in hits)
 
 
-def test_summary_unfinished_state_rejected(tmp_path):
+def test_summary_unfinished_state_rejected():
     with pytest.raises(ValueError):
-        summarize_environment(
-            make_state(), make_session([]), EnvironmentStore(tmp_path)
-        )
+        summarize_environment(make_state(), make_session([]))
 
 
-def test_summary_empty_history(tmp_path):
+def test_summary_empty_history():
     state = finished_state([])
     seen = []
 
@@ -296,12 +292,12 @@ def test_summary_empty_history(tmp_path):
         return summary_reply([])
 
     session = ChatSession("s", "sys", WIDE_PROFILE, ScriptedBackend(responder=responder))
-    summary = summarize_environment(state, session, EnvironmentStore(tmp_path))
+    summary = summarize_environment(state, session)
     assert summary.fingerprints == ()
     assert "(no commands were run)" in seen[0]
 
 
-def test_summary_drops_malformed_fingerprints(tmp_path):
+def test_summary_drops_malformed_fingerprints():
     state = finished_state(["x"])
     session = make_session(
         [
@@ -316,14 +312,14 @@ def test_summary_drops_malformed_fingerprints(tmp_path):
             )
         ]
     )
-    summary = summarize_environment(state, session, EnvironmentStore(tmp_path))
+    summary = summarize_environment(state, session)
     assert [fp.port for fp in summary.fingerprints] == [80, 81]
     # version claim without a product is discarded, entry kept
     assert summary.fingerprints[1].version == ""
     assert "dropped malformed fingerprint" in summary.notes
 
 
-def test_summary_flags_port_conflicts(tmp_path):
+def test_summary_flags_port_conflicts():
     state = finished_state(["x"])
     session = make_session(
         [
@@ -336,18 +332,18 @@ def test_summary_flags_port_conflicts(tmp_path):
             )
         ]
     )
-    summary = summarize_environment(state, session, EnvironmentStore(tmp_path))
+    summary = summarize_environment(state, session)
     assert len(summary.fingerprints) == 3
     assert "conflicting fingerprints" in summary.notes
     assert "80" in summary.notes
 
 
-def test_summary_survives_unusable_model_output(tmp_path):
+def test_summary_survives_unusable_model_output():
     state = finished_state(["x"])
     session = ChatSession(
         "s", "sys", WIDE_PROFILE, ScriptedBackend(responder=lambda r: "garbage")
     )
-    summary = summarize_environment(state, session, EnvironmentStore(tmp_path))
+    summary = summarize_environment(state, session)
     assert summary.fingerprints == ()
     assert "unusable" in summary.notes
 
@@ -364,7 +360,7 @@ def test_target_key_stable_and_distinct():
 
 
 def test_store_round_trip(tmp_path):
-    store = EnvironmentStore(tmp_path)
+    # the run record is the summary's one store
     summary = EnvironmentSummary(
         target="10.0.0.5",
         os_guess="linux",
@@ -374,9 +370,11 @@ def test_store_round_trip(tmp_path):
         notes="",
         collected_at="2024-06-01T00:00:00Z",
     )
-    store.save(summary)
-    assert store.load("10.0.0.5") == summary
-    assert store.load("10.0.0.9") is None
+    config = RunConfig(target="10.0.0.5", scope=("10.0.0.0/24",))
+    save_record(RunRecord("r", config, summary=summary), tmp_path / "record.json")
+    assert load_record(tmp_path / "record.json").summary == summary
+    save_record(RunRecord("r", config), tmp_path / "empty.json")
+    assert load_record(tmp_path / "empty.json").summary is None
 
 
 def test_is_target_identified():
@@ -410,7 +408,7 @@ def test_fingerprint_validation():
         ServiceFingerprint("h", 80, "tcp", "s", "", version="1.0")
 
 
-def test_index_into_replaces_env_corpus(tmp_path):
+def test_index_environment_replaces_env_corpus(tmp_path):
     # re-summarising a target must not leave the old fingerprints retrievable
     def summary_of(product, version, port):
         return EnvironmentSummary(
@@ -423,20 +421,48 @@ def test_index_into_replaces_env_corpus(tmp_path):
             collected_at="2024-01-01T00:00:00Z",
         )
 
-    store = EnvironmentStore(tmp_path / "env")
     rag = RagStore(tmp_path / "rag")
     first = summary_of("Stalesrv", "0.9", 8080)
     second = summary_of("Freshsrv", "2.1", 8443)
-    corpus_id = store.index_into(rag, first)
-    assert store.index_into(rag, second) == corpus_id
+    corpus_id = index_environment(rag, first)
+    assert index_environment(rag, second) == corpus_id
 
     fresh = RagStore(tmp_path / "only-second")
-    store.index_into(fresh, second)
-    expected = (tmp_path / "only-second" / corpus_id / "chunks.jsonl").read_bytes()
-    assert (tmp_path / "rag" / corpus_id / "chunks.jsonl").read_bytes() == expected
-
-    for reader in (rag, RagStore(tmp_path / "rag")):
-        hits = reader.retrieve(corpus_id, "Stalesrv 0.9 port 8080", k=50)
+    assert index_environment(fresh, second) == corpus_id
+    for query in ("Stalesrv 0.9 port 8080", "Freshsrv 2.1 port 8443", "linux"):
+        hits = rag.retrieve(corpus_id, query, k=50)
+        assert [(h.chunk, h.score) for h in hits] == [
+            (h.chunk, h.score) for h in fresh.retrieve(corpus_id, query, k=50)
+        ]
         assert sorted(h.chunk.doc_id for h in hits) == ["fingerprint-0", "summary"]
         assert not any("Stalesrv" in h.chunk.text for h in hits)
         assert any("Freshsrv" in h.chunk.text for h in hits)
+    assert not (tmp_path / "rag").exists()
+
+
+class CountingRag(RagStore):
+    def __init__(self, root):
+        super().__init__(root)
+        self.retrieves = 0
+
+    def retrieve(self, corpus_id, query, k=5):
+        self.retrieves += 1
+        return super().retrieve(corpus_id, query, k)
+
+
+def test_tool_hints_are_retrieved_once_per_loop(tmp_path):
+    rag = CountingRag(tmp_path / "rag")
+    rag.index("tooldocs", [("nmap", "nmap -sV fingerprint reconnaissance", "u")])
+    seen = []
+
+    def responder(request):
+        seen.append(request.prompt)
+        return step_reply(f"probe {len(seen)}")
+
+    session = ChatSession("recon", "sys", WIDE_PROFILE, ScriptedBackend(responder=responder))
+    state = run_recon(make_state(max_iterations=5), session, StubExecutor(), rag)
+    assert (state.iteration, state.stop_reason) == (5, StopReason.MAX_ITERATIONS)
+    assert rag.retrieves == 1
+    # every turn's prompt still carries the hints
+    assert len(seen) == 5
+    assert all("nmap -sV fingerprint reconnaissance" in prompt for prompt in seen)
