@@ -513,6 +513,48 @@ def test_bench_refuses_flags_the_manifests_replace(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "config, flags, named",
+    [
+        ({"application": "Other"}, [], "'application' key"),
+        ({"version": "9.9"}, [], "'version' key"),
+        ({"replay_dir": "one"}, ["--replay-root", "many"], "'replay_dir' key"),
+    ],
+    ids=["application", "version", "replay_dir"],
+)
+def test_bench_refuses_config_keys_the_manifests_replace(
+    tmp_path, monkeypatch, capsys, config, flags, named
+):
+    manifest_dir = tmp_path / "manifests"
+    manifest_dir.mkdir()
+    (manifest_dir / "alpha.json").write_text(
+        json.dumps(
+            {
+                "name": "alpha",
+                "application": "DemoSrv",
+                "version": "1.2.3",
+                "target_address": TARGET,
+                "cves": {"CVE-2024-0001": {"epss": 50.0, "exploitability": 3.9}},
+            }
+        ),
+        encoding="utf-8",
+    )
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+
+    def no_runner(*args, **kwargs):
+        raise AssertionError("a refused bench must run no target")
+
+    monkeypatch.setattr(cli, "PipelineRunner", no_runner)
+    argv = [
+        "bench", "--manifests", str(manifest_dir), "--output", str(tmp_path / "o"),
+        "--config", str(config_path),
+    ]
+    assert cli.main(argv + flags) == cli.EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_acquire_record_writes_record_and_transcripts(tmp_path, capsys):
     fixtures = tmp_path / "fixtures"
     write_fixture(

@@ -270,6 +270,150 @@ def test_eviction_safety_property(window, lengths):
     assert all(r == ("user" if i % 2 == 0 else "assistant") for i, r in enumerate(roles))
 
 
+def _evicted_by_pairwise_loop(system, history, prompt, window):
+    """The eviction rule stated directly: re-sum, drop the oldest pair, repeat."""
+    kept = list(history)
+
+    def total():
+        return (
+            estimate_tokens(system)
+            + estimate_tokens(prompt)
+            + sum(estimate_tokens(content) for _, content in kept)
+        )
+
+    while kept and total() > window:
+        del kept[:2]
+    return kept
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    window=st.integers(min_value=1, max_value=300),
+    system=st.text(max_size=40),
+    prompt=st.text(min_size=1, max_size=200),
+    contents=st.lists(st.text(max_size=150), max_size=15),
+)
+def test_eviction_matches_pairwise_loop_oracle(window, system, prompt, contents):
+    history = [
+        ("user" if i % 2 == 0 else "assistant", content)
+        for i, content in enumerate(contents)
+    ]
+    sent = []
+
+    def responder(request):
+        sent.append(request.history)
+        return "ok"
+
+    profile = ProviderProfile("w", "m", window, 0, 0)
+    session = ChatSession("oracle", system, profile, ScriptedBackend(responder=responder))
+    session.history = list(history)
+    if estimate_tokens(system) + estimate_tokens(prompt) > window:
+        with pytest.raises(ContextOverflow):
+            session.complete(prompt)
+        assert session.history == history
+        return
+    session.complete(prompt)
+    expected = _evicted_by_pairwise_loop(system, history, prompt, window)
+    assert sent == [tuple(expected)]
+    assert session.history == [*expected, ("user", prompt), ("assistant", "ok")]
+
+
+def test_eviction_work_is_linear_in_history(monkeypatch):
+    """Evicting half of a long history estimates each turn a bounded number
+    of times, not once per dropped pair."""
+    import pentestflow.gateway as gateway
+
+    estimated = []
+    real = gateway.estimate_tokens
+    monkeypatch.setattr(
+        gateway, "estimate_tokens", lambda text: estimated.append(1) or real(text)
+    )
+    turns = 4000  # of 25 tokens each; the window holds half of them
+    profile = ProviderProfile("w", "m", turns // 2 * 25, 0, 0)
+    session = ChatSession("long", "s", profile, ScriptedBackend(responder=lambda r: "ok"))
+    session.history = [("user" if i % 2 == 0 else "assistant", "x" * 100) for i in range(turns)]
+    session.complete("go")
+    assert len(session.history) < turns
+    assert len(estimated) <= 3 * turns
+
+
+# ---------------------------------------------------------------------------
+# Stateless structured calls
+# ---------------------------------------------------------------------------
+
+register_schema(ResponseSchema("gwtest_stateless", ("k",)), replace=True)
+
+EARLIER_TURNS = [("user", "earlier prompt"), ("assistant", "earlier reply")]
+
+
+def _session_with_history(responder, profile=WIDE_PROFILE):
+    backend = ScriptedBackend(responder=responder)
+    session = ChatSession("s", "sys", profile, backend)
+    session.history.extend(EARLIER_TURNS)
+    return session, backend
+
+
+def test_stateless_call_leaves_history_untouched():
+    session, _ = _session_with_history(lambda request: '{"k": 1}')
+    history = session.history
+    response = session.complete_structured("go", "gwtest_stateless", stateless=True)
+    assert response.valid and response.parsed == {"k": 1}
+    assert session.history is history
+    assert session.history == EARLIER_TURNS
+
+
+def test_stateless_call_charges_every_attempt():
+    replies = iter(["no json", '{"wrong": 1}', '{"k": 2}'])
+    session, backend = _session_with_history(lambda request: next(replies))
+    response = session.complete_structured(
+        "go", "gwtest_stateless", max_repairs=2, stateless=True
+    )
+    assert response.valid and response.repair_attempts == 2
+    assert backend.calls == 3
+    assert session.ledger.call_count == backend.calls
+    assert session.ledger.input_tokens > 0
+
+
+def test_stateless_repair_carries_only_the_failed_exchange():
+    requests = []
+
+    def responder(request):
+        requests.append(request)
+        return "not json" if len(requests) == 1 else '{"k": 3}'
+
+    session, _ = _session_with_history(responder)
+    session.complete_structured("go", "gwtest_stateless", stateless=True)
+    first, repair = requests
+    assert first.history == ()
+    assert repair.history == (("user", "go"), ("assistant", "not json"))
+    assert "JSON" in repair.prompt
+    assert session.history == EARLIER_TURNS
+
+
+def test_stateless_call_never_evicts_history():
+    # system 1 token + earlier turns 8 + prompt 50 > window 55; a stateful
+    # call would evict the earlier pair, a stateless one sends it no turn
+    requests = []
+
+    def responder(request):
+        requests.append(request)
+        return '{"k": 4}'
+
+    profile = ProviderProfile("tight", "m", 55, 0, 0)
+    session, _ = _session_with_history(responder, profile)
+    history = session.history
+    session.complete_structured("p" * 200, "gwtest_stateless", stateless=True)
+    assert [r.history for r in requests] == [()]
+    assert session.history is history
+    assert session.history == EARLIER_TURNS
+
+
+def test_stateful_call_still_extends_history():
+    session, _ = _session_with_history(lambda request: '{"k": 5}')
+    session.complete_structured("go", "gwtest_stateless")
+    assert session.history == [*EARLIER_TURNS, ("user", "go"), ("assistant", '{"k": 5}')]
+
+
 # ---------------------------------------------------------------------------
 # JSON extraction and structured output
 # ---------------------------------------------------------------------------

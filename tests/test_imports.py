@@ -174,3 +174,41 @@ def test_package_has_no_dead_definitions():
         for name in KEPT_DEFINITIONS
         if re.search(rf"^(?:(?:class|def) {name}\b|{name}\s*[:=])", text, re.M)
     )
+
+
+# A chat session's turn list is the gateway's own state: a stateless call
+# relies on no other module reading or rewriting it.
+HISTORY_OWNER = "gateway.py"
+
+
+def history_accesses(source: str) -> list[int]:
+    """Lines of the source that read or write a ``.history`` attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "history"
+    )
+
+
+def test_history_access_oracle():
+    source = (
+        "def f(session, runner):\n"
+        "    runner.command_history.append(1)\n"
+        "    history = []\n"
+        "    session.history.clear()\n"
+        "    session.history = history\n"
+        "    return getattr(session, 'history_len', 0)\n"
+    )
+    assert history_accesses(source) == [4, 5]
+
+
+def test_only_the_gateway_touches_session_history():
+    modules = sorted(PACKAGE_DIR.rglob("*.py"))
+    assert any(path.name == HISTORY_OWNER for path in modules)
+    found = {
+        str(path.relative_to(PACKAGE_DIR)): lines
+        for path in modules
+        if path.name != HISTORY_OWNER
+        and (lines := history_accesses(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}

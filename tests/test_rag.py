@@ -593,3 +593,91 @@ def test_synthesize_budget_drops_low_scoring_chunks(tmp_path):
     assert not response.context_empty
     assert "doc=best" in seen[0]
     assert "doc=worst" not in seen[0]
+
+
+# ---------------------------------------------------------------------------
+# Synthesis is stateless: passages travel with the prompt, history stays home
+# ---------------------------------------------------------------------------
+
+register_schema(ResponseSchema("ragtest_chat", ("ok",)), replace=True)
+
+ENV_DOCS = [
+    ("fp", "admin console on port 8161, product DemoSrv 1.2.3", "env://fp"),
+    ("svc", "ssh on port 22; http on port 80 with basic auth user admin", "env://svc"),
+]
+
+
+def _rendered(store, corpus_id, analysis_prompt, k):
+    """The synthesize prompt rendered independently from the ranking."""
+    blocks = [
+        f"[source: {h.chunk.source_uri} doc={h.chunk.doc_id} "
+        f"chunk={h.chunk.chunk_index}]\n{h.chunk.text}"
+        for h in store.retrieve(corpus_id, analysis_prompt, k)
+    ]
+    return (
+        "Context passages (cite sources where relevant):\n\n"
+        + "\n---\n".join(blocks)
+        + "\n\n"
+        + analysis_prompt
+    )
+
+
+def test_synthesize_sends_no_history_and_keeps_prep_prompts(tmp_path):
+    from pentestflow import prompts
+    from pentestflow.gateway import ChatSession, ScriptedBackend
+
+    from conftest import WIDE_PROFILE
+
+    store = RagStore(tmp_path)
+    store.index("env", ENV_DOCS)
+    requests = []
+
+    def responder(request):
+        requests.append(request)
+        if "parameter" in request.prompt:
+            return '{"name": "x", "value": "", "found": false}'
+        return '{"ok": true}'
+
+    session = ChatSession("prep", "sys", WIDE_PROFILE, ScriptedBackend(responder=responder))
+    session.complete_structured("a conversational turn", "ragtest_chat")
+    history = session.history
+    before = list(history)
+    asked = [
+        prompts.PREP_FILL_TEMPLATE.format(name=name, description=f"the {name}")
+        for name in ("admin_port", "username", "rhost", "lport", "api_key")
+    ]
+    for analysis_prompt in asked:
+        response = store.synthesize("env", analysis_prompt, 3, session, "param_fill")
+        assert response.valid
+    fills = requests[1:]
+    assert [r.history for r in fills] == [()] * len(asked)
+    assert [r.prompt for r in fills] == [_rendered(store, "env", p, 3) for p in asked]
+    assert session.history is history and history == before
+    assert session.ledger.call_count == len(requests)
+
+
+def test_recorded_synthesis_replays_without_digest_mismatch(tmp_path, caplog):
+    from pentestflow.gateway import ChatSession, RecordingBackend, ReplayBackend, ScriptedBackend
+
+    from conftest import WIDE_PROFILE
+
+    store = RagStore(tmp_path)
+    store.index("env", ENV_DOCS)
+
+    def converse(backend):
+        session = ChatSession("mixed", "sys", WIDE_PROFILE, backend)
+        session.complete_structured("first conversational turn", "ragtest_chat")
+        store.synthesize("env", "which port serves the admin console?", 2, session, "ragtest_chat")
+        session.complete_structured("second conversational turn", "ragtest_chat")
+        store.synthesize("env", "which user has basic auth?", 2, session, "ragtest_chat")
+        return session
+
+    recorder = RecordingBackend(
+        ScriptedBackend(responses=["not json", '{"ok": 1}', '{"ok": 2}', '{"ok": 3}', '{"ok": 4}'])
+    )
+    recorded = converse(recorder)
+    with caplog.at_level("WARNING", logger="pentestflow.gateway"):
+        replayed = converse(ReplayBackend(entries=recorder.entries))
+    assert not [r for r in caplog.records if "mismatch" in r.getMessage()]
+    assert replayed.history == recorded.history
+    assert replayed.ledger.to_dict() == recorded.ledger.to_dict()
