@@ -5,7 +5,12 @@ import json
 import pytest
 
 from pentestflow import cli
-from pentestflow.gateway import ScriptedBackend, TranscriptEntry, write_transcript
+from pentestflow.gateway import (
+    ScriptedBackend,
+    TranscriptEntry,
+    read_transcript,
+    write_transcript,
+)
 from pentestflow.knowledge import ExploitNode, KnowledgeTree, VulnerabilityNode
 from pentestflow.pipeline import (
     STAGES,
@@ -555,7 +560,9 @@ def test_bench_refuses_config_keys_the_manifests_replace(
     assert not (tmp_path / "o").exists()
 
 
-def test_acquire_record_writes_record_and_transcripts(tmp_path, capsys):
+def write_acquire_inputs(tmp_path):
+    """Search fixtures, and replay transcripts for acquiring TestApp 1.0 by
+    either command (recon and planning included); returns both dirs."""
     fixtures = tmp_path / "fixtures"
     write_fixture(
         fixtures,
@@ -578,13 +585,20 @@ def test_acquire_record_writes_record_and_transcripts(tmp_path, capsys):
         "source_uri": "https://adv.org/1",
         "summary": "rce",
     }
+    fingerprint = {"port": 8080, "protocol": "tcp", "service": "http",
+                   "product": "TestApp", "version": "1.0", "evidence": "TestApp/1.0"}
     replies = {
-        "search-surfaces": [
+        "recon": [json.dumps({"thought": "t", "command": "", "done": True})],
+        "recon-summary": [
+            json.dumps({"os_guess": "", "fingerprints": [fingerprint], "notes": ""})
+        ],
+        "search-surfaces-testapp": [
             surface_doc_reply(),
             surface_doc_reply(),
             consolidation_reply([candidate]),
         ],
-        "search-exploits-0": [exploit_doc_reply()],
+        "search-exploits-0-testapp": [exploit_doc_reply()],
+        "plan-surfaces": [json.dumps({"suggestions": []})],
     }
     replay = tmp_path / "replay"
     for name, texts in replies.items():
@@ -592,39 +606,70 @@ def test_acquire_record_writes_record_and_transcripts(tmp_path, capsys):
             [TranscriptEntry(i, "", text, 100, 10) for i, text in enumerate(texts)],
             replay / f"{name}.jsonl",
         )
+    return fixtures, replay
+
+
+def acquire_argv(command, tmp_path, record_dir, out_dir, *extra):
+    fixtures, replay = tmp_path / "fixtures", tmp_path / "replay"
+    return [
+        command, "--target", TARGET, "--scope", TARGET,
+        "--application", "TestApp", "--app-version", "1.0",
+        "--search-fixtures", str(fixtures), "--replay", str(replay),
+        "--record", str(record_dir), "--knowledge", str(tmp_path / "kb"),
+        "--output", str(out_dir), *extra,
+    ]
+
+
+def test_acquire_record_writes_record_and_transcripts(tmp_path, capsys):
+    write_acquire_inputs(tmp_path)
     record_dir = tmp_path / "recorded"
     out_dir = tmp_path / "runs"
-    rc = cli.main(
-        [
-            "acquire",
-            "--target",
-            TARGET,
-            "--scope",
-            TARGET,
-            "--application",
-            "TestApp",
-            "--app-version",
-            "1.0",
-            "--search-fixtures",
-            str(fixtures),
-            "--replay",
-            str(replay),
-            "--record",
-            str(record_dir),
-            "--knowledge",
-            str(tmp_path / "kb"),
-            "--output",
-            str(out_dir),
-        ]
-    )
+    rc = cli.main(acquire_argv("acquire", tmp_path, record_dir, out_dir))
     captured = capsys.readouterr()
     assert rc == cli.EXIT_OK, captured.err
     assert "acquired 2 knowledge node(s) for TestApp" in captured.out
     assert sorted(p.name for p in record_dir.iterdir()) == [
-        "search-exploits-0.jsonl",
-        "search-surfaces.jsonl",
+        "search-exploits-0-testapp.jsonl",
+        "search-surfaces-testapp.jsonl",
     ]
     (run_dir,) = [p for p in out_dir.iterdir() if p.is_dir()]
     record = load_record(run_dir / "record.json")
     assert record.ledger["call_count"] == 4
     assert record.ledger["input_tokens"] == 400
+
+
+def test_acquire_and_plan_record_the_same_search_transcripts(tmp_path, capsys):
+    """Acquisition has one path: the search sessions that acquire (given the
+    product, or taking it from recon) and an online plan record for the same
+    product replay under either command."""
+    write_acquire_inputs(tmp_path)
+    by_acquire = tmp_path / "acquire-recorded"
+    by_plan = tmp_path / "plan-recorded"
+    assert cli.main(
+        acquire_argv("acquire", tmp_path, by_acquire, tmp_path / "runs-a")
+    ) == cli.EXIT_OK
+    for command in ("recon", "plan"):
+        argv = acquire_argv(command, tmp_path, by_plan, tmp_path / "runs-p", "--online")
+        assert cli.main(argv) == cli.EXIT_OK, capsys.readouterr().err
+    # without --application, acquire takes every product recon found
+    capsys.readouterr()
+    by_summary = tmp_path / "summary-recorded"
+    for command in ("recon", "acquire"):
+        argv = acquire_argv(command, tmp_path, by_summary, tmp_path / "runs-s")
+        del argv[5:9]  # --application TestApp --app-version 1.0
+        assert cli.main(argv) == cli.EXIT_OK, capsys.readouterr().err
+    assert capsys.readouterr().out.endswith("knowledge node(s) for TestApp\n")
+
+    def search_digests(record_dir):
+        return {
+            path.name: [entry.request_digest for entry in read_transcript(path)]
+            for path in sorted(record_dir.glob("search-*.jsonl"))
+        }
+
+    acquired = search_digests(by_acquire)
+    assert sorted(acquired) == [
+        "search-exploits-0-testapp.jsonl",
+        "search-surfaces-testapp.jsonl",
+    ]
+    assert search_digests(by_plan) == acquired
+    assert search_digests(by_summary) == acquired

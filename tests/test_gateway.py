@@ -193,18 +193,25 @@ def test_ledger_merge_and_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# Sessions: history, eviction
+# Sessions: stateless calls
 # ---------------------------------------------------------------------------
 
 
-def test_complete_appends_history_and_ledger():
-    session = scripted_session(["first reply", "second reply"])
+def test_complete_charges_ledger_and_keeps_no_history():
+    requests = []
+    replies = iter(["first reply", "second reply"])
+
+    def responder(request):
+        requests.append(request)
+        return next(replies)
+
+    session = ChatSession("s", "system", WIDE_PROFILE, ScriptedBackend(responder=responder))
     text, usage = session.complete("hello")
     assert text == "first reply"
     assert usage.input_tokens >= 1 and usage.output_tokens >= 1
-    assert session.history == [("user", "hello"), ("assistant", "first reply")]
     session.complete("again")
-    assert len(session.history) == 4
+    assert [(r.history, r.prompt) for r in requests] == [((), "hello"), ((), "again")]
+    assert session.history == []
     assert session.ledger.call_count == 2
 
 
@@ -221,124 +228,39 @@ def test_overflow_when_prompt_alone_too_large():
         session.complete("p" * 40)
 
 
-def test_eviction_drops_oldest_pair_keeps_system():
-    # per-call token costs: system 1, each prompt 5, each reply 10; the
-    # third call needs 36 tokens with full history, 21 after one eviction
-    profile = ProviderProfile("small", "m", 30, 0, 0)
-    session = scripted_session(
-        ["r1" * 20, "r2" * 20, "r3" * 20, "r4" * 20],
-        system_message="sys!",
-        profile=profile,
-    )
-    session.complete("p1" * 10)
-    session.complete("p2" * 10)
-    first_user = session.history[0]
-    session.complete("p3" * 10)
-    assert session.system_message == "sys!"
-    assert first_user not in session.history
-    roles = [role for role, _ in session.history]
-    assert roles == ["user", "assistant"] * (len(roles) // 2)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     window=st.integers(min_value=30, max_value=400),
     lengths=st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=12),
 )
-def test_eviction_safety_property(window, lengths):
-    """After any call sequence, the system message is intact, roles alternate
-    user/assistant, and the estimated context never exceeds the window."""
+def test_request_fits_window_property(window, lengths):
+    """After any call sequence: a call overflows exactly when the system
+    message and its prompt overrun the window, every request sent fits it
+    and carries no earlier turn, and the session keeps no history."""
     profile = ProviderProfile("w", "m", window, 0, 0)
     system = "sy"
-    session = ChatSession(
-        session_id="prop",
-        system_message=system,
-        profile=profile,
-        backend=ScriptedBackend(responder=lambda request: "ok!!"),
-    )
+    sent = []
+
+    def responder(request):
+        sent.append(request)
+        return "ok!!"
+
+    session = ChatSession("prop", system, profile, ScriptedBackend(responder=responder))
     for n in lengths:
         prompt = "q" * n
-        fixed = estimate_tokens(system) + estimate_tokens(prompt)
-        if fixed > window:
+        if estimate_tokens(system) + estimate_tokens(prompt) > window:
             with pytest.raises(ContextOverflow):
                 session.complete(prompt)
             continue
         session.complete(prompt)
-        assert session.estimated_context_tokens() <= window + estimate_tokens("ok!!")
-    assert session.system_message == system
-    roles = [role for role, _ in session.history]
-    assert all(r == ("user" if i % 2 == 0 else "assistant") for i, r in enumerate(roles))
-
-
-def _evicted_by_pairwise_loop(system, history, prompt, window):
-    """The eviction rule stated directly: re-sum, drop the oldest pair, repeat."""
-    kept = list(history)
-
-    def total():
-        return (
-            estimate_tokens(system)
-            + estimate_tokens(prompt)
-            + sum(estimate_tokens(content) for _, content in kept)
-        )
-
-    while kept and total() > window:
-        del kept[:2]
-    return kept
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    window=st.integers(min_value=1, max_value=300),
-    system=st.text(max_size=40),
-    prompt=st.text(min_size=1, max_size=200),
-    contents=st.lists(st.text(max_size=150), max_size=15),
-)
-def test_eviction_matches_pairwise_loop_oracle(window, system, prompt, contents):
-    history = [
-        ("user" if i % 2 == 0 else "assistant", content)
-        for i, content in enumerate(contents)
-    ]
-    sent = []
-
-    def responder(request):
-        sent.append(request.history)
-        return "ok"
-
-    profile = ProviderProfile("w", "m", window, 0, 0)
-    session = ChatSession("oracle", system, profile, ScriptedBackend(responder=responder))
-    session.history = list(history)
-    if estimate_tokens(system) + estimate_tokens(prompt) > window:
-        with pytest.raises(ContextOverflow):
-            session.complete(prompt)
-        assert session.history == history
-        return
-    session.complete(prompt)
-    expected = _evicted_by_pairwise_loop(system, history, prompt, window)
-    assert sent == [tuple(expected)]
-    assert session.history == [*expected, ("user", prompt), ("assistant", "ok")]
-
-
-def test_eviction_work_is_linear_in_history(monkeypatch):
-    """Evicting half of a long history estimates each turn a bounded number
-    of times, not once per dropped pair."""
-    import pentestflow.gateway as gateway
-
-    estimated = []
-    real = gateway.estimate_tokens
-    monkeypatch.setattr(
-        gateway, "estimate_tokens", lambda text: estimated.append(1) or real(text)
-    )
-    turns = 4000  # of 25 tokens each; the window holds half of them
-    profile = ProviderProfile("w", "m", turns // 2 * 25, 0, 0)
-    session = ChatSession("long", "s", profile, ScriptedBackend(responder=lambda r: "ok"))
-    session.history = [("user" if i % 2 == 0 else "assistant", "x" * 100) for i in range(turns)]
-    session.complete("go")
-    assert len(session.history) < turns
-    assert len(estimated) <= 3 * turns
+        request = sent[-1]
+        assert request.history == ()
+        assert estimate_tokens(request.system_message) + estimate_tokens(request.prompt) <= window
+    assert session.history == []
 
 
 # ---------------------------------------------------------------------------
-# Stateless structured calls
+# Structured calls send no earlier turn
 # ---------------------------------------------------------------------------
 
 register_schema(ResponseSchema("gwtest_stateless", ("k",)), replace=True)
@@ -356,7 +278,7 @@ def _session_with_history(responder, profile=WIDE_PROFILE):
 def test_stateless_call_leaves_history_untouched():
     session, _ = _session_with_history(lambda request: '{"k": 1}')
     history = session.history
-    response = session.complete_structured("go", "gwtest_stateless", stateless=True)
+    response = session.complete_structured("go", "gwtest_stateless")
     assert response.valid and response.parsed == {"k": 1}
     assert session.history is history
     assert session.history == EARLIER_TURNS
@@ -365,9 +287,7 @@ def test_stateless_call_leaves_history_untouched():
 def test_stateless_call_charges_every_attempt():
     replies = iter(["no json", '{"wrong": 1}', '{"k": 2}'])
     session, backend = _session_with_history(lambda request: next(replies))
-    response = session.complete_structured(
-        "go", "gwtest_stateless", max_repairs=2, stateless=True
-    )
+    response = session.complete_structured("go", "gwtest_stateless", max_repairs=2)
     assert response.valid and response.repair_attempts == 2
     assert backend.calls == 3
     assert session.ledger.call_count == backend.calls
@@ -382,7 +302,7 @@ def test_stateless_repair_carries_only_the_failed_exchange():
         return "not json" if len(requests) == 1 else '{"k": 3}'
 
     session, _ = _session_with_history(responder)
-    session.complete_structured("go", "gwtest_stateless", stateless=True)
+    session.complete_structured("go", "gwtest_stateless")
     first, repair = requests
     assert first.history == ()
     assert repair.history == (("user", "go"), ("assistant", "not json"))
@@ -391,8 +311,8 @@ def test_stateless_repair_carries_only_the_failed_exchange():
 
 
 def test_stateless_call_never_evicts_history():
-    # system 1 token + earlier turns 8 + prompt 50 > window 55; a stateful
-    # call would evict the earlier pair, a stateless one sends it no turn
+    # system 1 token + earlier turns 8 + prompt 50 > window 55, but the
+    # call sends none of the session's turns, so it fits and drops none
     requests = []
 
     def responder(request):
@@ -402,16 +322,10 @@ def test_stateless_call_never_evicts_history():
     profile = ProviderProfile("tight", "m", 55, 0, 0)
     session, _ = _session_with_history(responder, profile)
     history = session.history
-    session.complete_structured("p" * 200, "gwtest_stateless", stateless=True)
+    session.complete_structured("p" * 200, "gwtest_stateless")
     assert [r.history for r in requests] == [()]
     assert session.history is history
     assert session.history == EARLIER_TURNS
-
-
-def test_stateful_call_still_extends_history():
-    session, _ = _session_with_history(lambda request: '{"k": 5}')
-    session.complete_structured("go", "gwtest_stateless")
-    assert session.history == [*EARLIER_TURNS, ("user", "go"), ("assistant", '{"k": 5}')]
 
 
 # ---------------------------------------------------------------------------

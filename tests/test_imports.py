@@ -7,9 +7,9 @@ are skipped, since their imports are re-exports, and so are ``from
 __future__`` imports.
 
 Every module-level function, class and constant (a name a module-level
-assignment binds) is named somewhere in the package source outside its own
-definition, is listed in an ``__all__``, or is on ``KEPT_DEFINITIONS`` with
-the reason it stays.
+assignment binds), and every method of a module-level class but dunders, is
+named somewhere in the package source outside its own definition, is listed
+in an ``__all__``, or is on ``KEPT_DEFINITIONS`` with the reason it stays.
 """
 
 import ast
@@ -97,17 +97,29 @@ def _assigned_names(node: ast.stmt) -> list[str]:
     ]
 
 
+def _span(node: ast.AST) -> tuple[int, int]:
+    """First and last line of a definition, its decorators included."""
+    return min([d.lineno for d in node.decorator_list] + [node.lineno]), node.end_lineno
+
+
 def dead_definitions(sources: dict[str, str]) -> list[str]:
-    """Module-level functions, classes and constants that no other line of
-    the given sources (module name -> text) names as a word, and no
-    ``__all__`` lists."""
+    """Module-level functions, classes and constants, and methods of
+    module-level classes other than dunders, that no other line of the given
+    sources (module name -> text) names as a word, and no ``__all__``
+    lists."""
     exported: set[str] = set()
     definitions = []
     for module, text in sources.items():
         for node in ast.parse(text).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                first = min([d.lineno for d in node.decorator_list] + [node.lineno])
-                definitions.append((module, node.name, first, node.end_lineno))
+                definitions.append((module, node.name, *_span(node)))
+                if isinstance(node, ast.ClassDef):
+                    definitions.extend(
+                        (module, f"{node.name}.{method.name}", *_span(method))
+                        for method in node.body
+                        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not method.name.startswith("__")
+                    )
             elif "__all__" in _assigned_names(node):
                 exported.update(
                     e.value for e in node.value.elts if isinstance(e, ast.Constant)
@@ -119,7 +131,7 @@ def dead_definitions(sources: dict[str, str]) -> list[str]:
                 )
     dead = []
     for module, name, first, last in definitions:
-        word = re.compile(rf"\b{re.escape(name)}\b")
+        word = re.compile(rf"\b{re.escape(name.rpartition('.')[2])}\b")
         named = any(
             word.search(line)
             for other, text in sources.items()
@@ -144,6 +156,21 @@ def test_dead_definition_oracle():
         "b": "from a import used\nused()\n# mentioned by a comment\n",
     }
     assert dead_definitions(sources) == ["a.Lonely", "a.recursive"]
+
+
+def test_dead_method_oracle():
+    sources = {
+        "a": (
+            "class Used:\n"
+            "    def __init__(self):\n        self.helper()\n"
+            "    def helper(self):\n        pass\n"
+            "    @property\n    def shown(self):\n        return 1\n"
+            "    def unused(self):\n        pass\n"
+            "    def loop(self):\n        return self.loop()\n"
+        ),
+        "b": "from a import Used\nprint(Used().shown)\n",
+    }
+    assert dead_definitions(sources) == ["a.Used.loop", "a.Used.unused"]
 
 
 def test_dead_constant_oracle():

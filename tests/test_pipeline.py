@@ -752,3 +752,50 @@ def test_staged_runners_match_one_run_all(tmp_path):
     assert names == ["prep-0", "exploit-0"]
     for name in names:
         assert staged_prompts[name] == whole_prompts[name]
+
+
+REPAIR_PREFIX = "Your previous reply could not be used"
+
+
+def test_run_all_requests_carry_no_history_but_a_repairs_own(tmp_path):
+    """Every request of a whole run carries no earlier turn. A repair is the
+    one exception: it carries its own call's failed exchange and nothing
+    else. Each session's first reply is unusable, so each repairs once."""
+    config, connectors, scripts = online_setup(tmp_path)
+    sent: dict[str, list[tuple]] = {}
+
+    def factory(name):
+        replies = ["no json here", *scripts[name]]
+
+        def respond(request):
+            reply = replies.pop(0)
+            sent.setdefault(name, []).append((request, reply))
+            return reply
+
+        return ScriptedBackend(responder=respond)
+
+    runner = PipelineRunner(
+        config,
+        connectors=connectors,
+        clock=ReplayClock(),
+        backend_factory=factory,
+        executor=StubExecutor(),
+    )
+    assert runner.run_all().success_index == 0
+    assert set(sent) == set(scripts)
+    for name, exchanges in sent.items():
+        repairs = 0
+        for i, (request, _) in enumerate(exchanges):
+            if request.prompt.startswith(REPAIR_PREFIX):
+                failed, failed_reply = exchanges[i - 1]
+                assert failed.history == ()
+                assert request.history == (
+                    ("user", failed.prompt),
+                    ("assistant", failed_reply),
+                ), name
+                repairs += 1
+            else:
+                assert request.history == (), name
+        assert repairs == 1, name
+    # the loops took more than one step, each sent on its own
+    assert len(sent["recon"]) == len(sent["exploit-0"]) == 3
