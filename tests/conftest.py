@@ -1,4 +1,21 @@
+import warnings
+
 import pytest
+
+# Hypothesis imports this module to report a failing @given test. Importing
+# it raises mypy_extensions' TypedDict DeprecationWarning, which under
+# filterwarnings = ["error"] turns every such failure into an INTERNALERROR
+# that ends the session. Import it once here, with that warning ignored.
+# The module needs libcst (hypothesis[codemods]); without it the plugin skips
+# this report, so there is nothing to import.
+try:
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", message=".*TypedDict is deprecated", category=DeprecationWarning
+        )
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
 
 from pentestflow.gateway import (
     ChatSession,

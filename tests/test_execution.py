@@ -5,6 +5,10 @@ plan driver."""
 import json
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pentestflow import prompts
 from pentestflow.execution import (
     ExecutionAgent,
     ExploitOutcome,
@@ -15,7 +19,12 @@ from pentestflow.execution import (
     is_error,
     normalize_error,
 )
-from pentestflow.gateway import ChatSession, ScriptedBackend
+from pentestflow.gateway import (
+    ChatSession,
+    RecordingBackend,
+    ReplayBackend,
+    ScriptedBackend,
+)
 from pentestflow.knowledge import ExploitNode
 from pentestflow.planning import ExploitPlan, PlanEntry
 from pentestflow.rag import RagStore
@@ -182,6 +191,24 @@ def test_loop_rejects_fabricated_evidence(tmp_path):
         [
             step_reply("python3 poc.py"),
             step_reply("", done=True, success=True, evidence="root shell obtained!"),
+        ]
+    )
+    outcome = agent.exploit_loop(make_exploit(), filled("target"), session)
+    assert outcome.status is OutcomeStatus.FAILED
+    assert outcome.evidence == ""
+    assert outcome.declared_success is True
+
+
+def test_loop_rejects_evidence_past_the_shown_excerpt(tmp_path):
+    # the token is in stdout, but after the 4,000 characters the model saw
+    executor = StubExecutor(
+        behavior=lambda spec: ExecutionResult(0, "x" * 4100 + "FLAG{late-9}", "", 0.1, False, False)
+    )
+    agent = make_agent(tmp_path, executor)
+    session = make_session(
+        [
+            step_reply("python3 poc.py"),
+            step_reply("", done=True, success=True, evidence="FLAG{late-9}"),
         ]
     )
     outcome = agent.exploit_loop(make_exploit(), filled("target"), session)
@@ -532,3 +559,203 @@ def test_run_plan_empty(tmp_path):
     agent = make_agent(tmp_path)
     outcomes, winner = agent.run_plan(ExploitPlan(), TARGET, lambda name: None)
     assert outcomes == [] and winner is None
+
+
+# ---------------------------------------------------------------------------
+# run_plan asks each fill question once (oracle: every question asked fresh)
+# ---------------------------------------------------------------------------
+
+PARAM_POOL = [
+    ("target", ""),
+    ("target", "the host"),
+    ("Target", ""),
+    ("rport", "the port"),
+    ("api_key", "a key"),
+    ("path", ""),
+]
+REPLY_KINDS = ["value", "padded", "not_found", "blank", "unusable"]
+
+
+def fill_question(name, description):
+    return prompts.PREP_FILL_TEMPLATE.format(name=name, description=description)
+
+
+def prep_responder(listings, kinds, asked):
+    """Answer listing calls from ``listings`` (source_ref -> params) and fill
+    calls by the kind scripted for their question; ``asked`` counts the first
+    request of each fill call by question."""
+    questions = {fill_question(n, d): (n, d) for n, d in PARAM_POOL}
+
+    def responder(request):
+        if request.history:
+            return "still not json"
+        for question, param in questions.items():
+            if request.prompt.endswith(question):
+                asked[question] = asked.get(question, 0) + 1
+                kind = kinds[param]
+                value = f"v-{param[0]}-{len(param[1])}"
+                if kind == "value":
+                    return fill_reply(True, value)
+                if kind == "padded":
+                    return fill_reply(True, f"  {value} ")
+                if kind == "not_found":
+                    return fill_reply(False)
+                if kind == "blank":
+                    return fill_reply(True, "")
+                return "no json at all"
+        for ref, params in listings.items():
+            if f"({ref})" in request.prompt:
+                return json.dumps(
+                    {"parameters": [{"name": n, "description": d} for n, d in params]}
+                )
+        raise AssertionError("unexpected prompt")
+
+    return responder
+
+
+def prep_agent(root, have_env=True):
+    agent = make_agent(root)
+    if have_env:
+        agent.rag.index(
+            env_corpus_id(TARGET),
+            [("fp", "DemoSrv admin console on port 8161", "env://fp")],
+        )
+    return agent
+
+
+def triples(requirements):
+    return [(r.name, r.value, r.source) for r in requirements]
+
+
+def spy_prepare(agent):
+    """Record the (name, value, source) triples of every prepare call."""
+    prepared = []
+    prepare = agent.prepare
+
+    def spy(*args):
+        requirements = prepare(*args)
+        prepared.append(triples(requirements))
+        return requirements
+
+    agent.prepare = spy
+    return prepared
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entries=st.lists(
+        st.lists(st.sampled_from(PARAM_POOL), max_size=5), min_size=1, max_size=4
+    ),
+    kinds=st.fixed_dictionaries(
+        {param: st.sampled_from(REPLY_KINDS) for param in PARAM_POOL}
+    ),
+    have_env=st.booleans(),
+)
+def test_run_plan_fills_like_asking_every_question_fresh(
+    tmp_path_factory, entries, kinds, have_env
+):
+    refs = [f"r/{i}" for i in range(len(entries))]
+    listings = dict(zip(refs, entries))
+    plan = make_plan(*refs)
+    root = tmp_path_factory.mktemp("prep")
+
+    fresh_asked = {}
+    fresh_agent = prep_agent(root, have_env)
+    expected = []
+    for entry in plan.entries:
+        session = make_session(responder=prep_responder(listings, kinds, fresh_asked))
+        expected.append(triples(fresh_agent.prepare(entry.exploit, TARGET, session)))
+
+    asked = {}
+    agent = prep_agent(root, have_env)
+    prepared = spy_prepare(agent)
+
+    def factory(name):
+        if name.startswith("prep"):
+            return make_session(
+                responder=prep_responder(listings, kinds, asked), name=name
+            )
+        return make_session([step_reply("", done=True, success=False)], name=name)
+
+    outcomes, winner = agent.run_plan(plan, TARGET, factory)
+    assert winner is None and len(outcomes) == len(plan.entries)
+    assert prepared == expected
+    params = {fill_question(*param): param for param in PARAM_POOL}
+    assert set(asked) == set(fresh_asked)
+    for question, count in fresh_asked.items():
+        if kinds[params[question]] == "unusable":
+            assert asked[question] == count  # asked again for every entry
+        else:
+            assert asked[question] == 1
+
+
+def engagement_plan_factory(backend_for):
+    """Sessions for a two-entry plan in the shape of the engagement workload:
+    each prep lists target and port, the store knows the port, every exploit
+    declares failure."""
+
+    def responder(name):
+        def reply(request):
+            if name.startswith("exploit"):
+                return step_reply("", done=True, success=False)
+            if "name: port" in request.prompt:
+                return fill_reply(True, "8161")
+            if "name: target" in request.prompt:
+                return fill_reply(False)
+            return listing_reply(["target", "port"])
+
+        return reply
+
+    def factory(name):
+        return ChatSession(
+            name, prompts.EXECUTION_SYSTEM, WIDE_PROFILE, backend_for(name, responder(name))
+        )
+
+    return factory
+
+
+def test_run_plan_replays_recordings_from_before_and_after(tmp_path, caplog):
+    plan = make_plan("r/a", "r/b")
+    recorders = {}
+
+    def recording(name, reply):
+        recorders[name] = RecordingBackend(ScriptedBackend(responder=reply))
+        return recorders[name]
+
+    record_factory = engagement_plan_factory(recording)
+    # before: run_plan as it was, every entry asking its fill questions afresh
+    agent = prep_agent(tmp_path)
+    before = []
+    for i, entry in enumerate(plan.entries):
+        parameters = agent.prepare(entry.exploit, TARGET, record_factory(f"prep-{i}"))
+        before.append(triples(parameters))
+        agent.exploit_loop(entry.exploit, parameters, record_factory(f"exploit-{i}"))
+    before_entries = {name: rec.entries for name, rec in recorders.items()}
+    assert [len(before_entries[f"prep-{i}"]) for i in range(2)] == [3, 3]
+
+    recorders.clear()
+    outcomes, _ = prep_agent(tmp_path).run_plan(plan, TARGET, record_factory)
+    after_entries = {name: rec.entries for name, rec in recorders.items()}
+    assert [len(after_entries[f"prep-{i}"]) for i in range(2)] == [3, 1]
+
+    for recorded in (before_entries, after_entries):
+        sessions = {}
+
+        def replaying(name, reply, recorded=recorded):
+            return ReplayBackend(entries=recorded[name])
+
+        replay_factory = engagement_plan_factory(replaying)
+
+        def factory(name):
+            sessions[name] = replay_factory(name)
+            return sessions[name]
+
+        agent = prep_agent(tmp_path)
+        prepared = spy_prepare(agent)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="pentestflow.gateway"):
+            replayed, _ = agent.run_plan(plan, TARGET, factory)
+        assert not caplog.records
+        assert [o.to_dict() for o in replayed] == [o.to_dict() for o in outcomes]
+        assert sessions["prep-1"].ledger.call_count == 1
+        assert prepared == before

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentestflow.gateway import (
+    RESPONSE_RESERVE_TOKENS,
     BackendUnreachable,
     ChatRequest,
     ChatSession,
@@ -257,6 +258,83 @@ def test_request_fits_window_property(window, lengths):
         assert request.history == ()
         assert estimate_tokens(request.system_message) + estimate_tokens(request.prompt) <= window
     assert session.history == []
+
+
+def test_repair_that_would_overflow_the_window_is_not_sent():
+    """A prompt that fills its budget, then an unusable reply of ~2,000
+    tokens: the repair request would need the prompt, the reply and the
+    repair prompt, more than the 4,000-token window, so it is not sent."""
+    register_schema(ResponseSchema("gwtest_window", ("k",)), replace=True)
+    profile = ProviderProfile("w4k", "m", 4000, 0, 0)
+    sent = []
+
+    def responder(request):
+        sent.append(request)
+        return "x" * 8000
+
+    session = ChatSession(
+        "s", "sys", profile, ScriptedBackend(responder=responder), max_repairs=1
+    )
+    response = session.complete_structured(
+        "q" * (4 * session.prompt_budget()), "gwtest_window"
+    )
+    assert not response.valid
+    assert response.repair_attempts == 0
+    assert response.raw_text == "x" * 8000
+    assert len(sent) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    window=st.integers(min_value=40, max_value=RESPONSE_RESERVE_TOKENS + 600),
+    prompt_len=st.integers(min_value=1, max_value=1600),
+    reply_lens=st.lists(st.integers(min_value=0, max_value=1600), min_size=4, max_size=4),
+    max_repairs=st.integers(min_value=0, max_value=3),
+)
+def test_structured_requests_fit_window_property(window, prompt_len, reply_lens, max_repairs):
+    """Replies that never validate: the first request fits the window, every
+    repair request also leaves the reply's reserve free, and repairing stops
+    early exactly when the next repair request would not."""
+    register_schema(ResponseSchema("gwtest_fit", ("k",)), replace=True)
+    profile = ProviderProfile("w", "m", window, 0, 0)
+    sent = []
+
+    def responder(request):
+        sent.append(request)
+        return "r" * reply_lens[len(sent) - 1]
+
+    def tokens(request):
+        texts = ("sy", *(content for _, content in request.history), request.prompt)
+        return sum(estimate_tokens(text) for text in texts)
+
+    session = ChatSession("s", "sy", profile, ScriptedBackend(responder=responder))
+    prompt = "q" * prompt_len
+    if estimate_tokens("sy") + estimate_tokens(prompt) > window:
+        with pytest.raises(ContextOverflow):
+            session.complete_structured(prompt, "gwtest_fit", max_repairs=max_repairs)
+        return
+    response = session.complete_structured(prompt, "gwtest_fit", max_repairs=max_repairs)
+    assert not response.valid
+    assert len(sent) == 1 + response.repair_attempts
+    assert tokens(sent[0]) <= window
+    for request in sent[1:]:
+        assert tokens(request) + RESPONSE_RESERVE_TOKENS <= window
+    # the repair prompt, as a session with room for it sends it
+    wide_sent = []
+    wide = ChatSession(
+        "w", "sy", WIDE_PROFILE,
+        ScriptedBackend(responder=lambda request: wide_sent.append(request) or "r"),
+    )
+    wide.complete_structured("go", "gwtest_fit", max_repairs=1)
+    if response.repair_attempts < max_repairs:
+        last = sent[-1]
+        next_repair = ChatRequest(
+            "sy",
+            last.history + (("user", last.prompt), ("assistant", response.raw_text)),
+            wide_sent[1].prompt,
+            profile,
+        )
+        assert tokens(next_repair) + RESPONSE_RESERVE_TOKENS > window
 
 
 # ---------------------------------------------------------------------------
