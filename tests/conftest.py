@@ -21,7 +21,6 @@ from pentestflow.gateway import (
     ChatSession,
     ProviderProfile,
     ScriptedBackend,
-    UsageLedger,
 )
 
 # a window big enough that eviction never interferes with functional tests
@@ -55,14 +54,12 @@ def scripted_session(
     system_message: str = "system",
     profile: ProviderProfile = WIDE_PROFILE,
     session_id: str = "test",
-    ledger: UsageLedger | None = None,
 ) -> ChatSession:
     return ChatSession(
         session_id=session_id,
         system_message=system_message,
         profile=profile,
         backend=ScriptedBackend(responses=list(responses)),
-        ledger=ledger,
     )
 
 

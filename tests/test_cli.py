@@ -1,6 +1,10 @@
-"""CLI tests: exit-code mapping and replayed end-to-end runs."""
+"""CLI tests: exit-code mapping, the --config file and the flag oracle, and
+replayed end-to-end runs."""
 
+import argparse
+import dataclasses
 import json
+import logging
 
 import pytest
 
@@ -13,13 +17,19 @@ from pentestflow.gateway import (
 )
 from pentestflow.knowledge import ExploitNode, KnowledgeTree, VulnerabilityNode
 from pentestflow.pipeline import (
+    KNOWLEDGE_OFFLINE,
+    KNOWLEDGE_ONLINE,
     STAGES,
     STATUS_COMPLETE,
     PipelineRunner,
     ReplayClock,
     RunConfig,
+    RunRecord,
+    StageIncomplete,
     load_record,
+    save_record,
 )
+from pentestflow.search import ConnectorKind, FixtureConnector
 
 from test_search import (
     CVE_QUERY,
@@ -265,6 +275,275 @@ def test_corrupt_record_is_internal_error(tmp_path, capsys):
 def test_empty_manifest_dir_is_config_error(tmp_path):
     rc = cli.main(["bench", "--manifests", str(tmp_path), "--output", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
+
+
+# ---------------------------------------------------------------------------
+# The --config file and the flag oracle
+# ---------------------------------------------------------------------------
+
+SCOPE = "127.0.0.0/8"
+
+
+# a value other than the default for each field a flag sets
+NON_DEFAULT = {
+    "target": "127.0.0.9",
+    "provider": "gpt-4o",
+    "provider_config": "providers.json",
+    "replay_dir": "transcripts",
+    "record_dir": "recorded",
+    "output_dir": "out",
+    "knowledge_dir": "kb",
+    "application": "DemoSrv",
+    "version": "1.2.3",
+    "max_iterations": 7,
+    "max_steps": 9,
+    "max_repairs": 0,
+}
+
+
+def capture_runs(monkeypatch):
+    """Swap the CLI's runner for one that records the config and connectors
+    it is built with and then stops the command as a stage error."""
+    seen = []
+
+    def capturing_runner(config, connectors=()):
+        seen.append((config, list(connectors)))
+        raise StageIncomplete("captured")
+
+    monkeypatch.setattr(cli, "PipelineRunner", capturing_runner)
+    return seen
+
+
+def run_with_config(tmp_path, monkeypatch, doc, *flags):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    seen = capture_runs(monkeypatch)
+    rc = cli.main(["run", "--config", str(path), *flags])
+    return rc, seen
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"force_stages": "false"}, "force_stages"),
+        ({"force_stages": 0}, "force_stages"),
+        ({"max_steps": "abc"}, "max_steps"),
+        ({"max_steps": "5"}, "max_steps"),
+        ({"max_steps": True}, "max_steps"),
+        ({"max_steps": 5.0}, "max_steps"),
+        ({"scope": TARGET}, "scope"),
+        ({"scope": [TARGET, 1]}, "scope"),
+        ({"provider": None}, "provider"),
+        ({"max_step": 5}, "max_step"),
+    ],
+    ids=[
+        "bool-as-string", "bool-as-int", "int-as-word", "int-as-string",
+        "int-as-bool", "int-as-float", "scope-as-string", "scope-with-number",
+        "str-as-null", "typo",
+    ],
+)
+def test_config_file_refuses_bad_keys(tmp_path, monkeypatch, capsys, doc, key):
+    rc, seen = run_with_config(
+        tmp_path, monkeypatch, {"target": TARGET, "scope": [TARGET], **doc}
+    )
+    assert rc == cli.EXIT_CONFIG
+    assert seen == []
+    err = capsys.readouterr().err
+    assert "configuration error: " in err and repr(key) in err
+    assert "Traceback" not in err
+
+
+def test_config_file_sets_every_field(tmp_path, monkeypatch):
+    doc = {
+        **NON_DEFAULT,
+        "scope": [SCOPE, "10.0.0.0/8"],
+        "knowledge_mode": KNOWLEDGE_ONLINE,
+        "force_stages": True,
+    }
+    assert set(doc) == {f.name for f in dataclasses.fields(RunConfig)}
+    rc, seen = run_with_config(tmp_path, monkeypatch, doc)
+    assert rc == cli.EXIT_STAGE
+    [(config, _)] = seen
+    assert config.to_dict() == doc
+
+
+def test_config_file_defaults_are_runconfigs(tmp_path, monkeypatch):
+    doc = {"target": TARGET, "scope": [TARGET]}
+    rc, seen = run_with_config(tmp_path, monkeypatch, doc)
+    assert rc == cli.EXIT_STAGE
+    assert seen[0][0] == RunConfig(target=TARGET, scope=(TARGET,))
+
+
+def option_flags():
+    """(subcommand, flag) of every option of every subparser; an option's
+    flag is its first option string."""
+    parser = cli.build_parser()
+    [subparsers] = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.option_strings and not isinstance(action, argparse._HelpAction):
+                yield name, action.option_strings[0]
+
+
+# flags that are not one RunConfig field each; each has its own test below
+OTHER_FLAGS = {
+    "--scope", "--offline", "--online", "--force", "--config", "--search-fixtures",
+    "-v", "--manifests", "--replay-root", "--run-dir", "--format",
+}
+
+def test_every_flag_has_a_row():
+    flags = {flag for _, flag in option_flags()}
+    assert not set(cli.FLAG_FIELDS) & OTHER_FLAGS
+    assert flags == set(cli.FLAG_FIELDS) | OTHER_FLAGS
+    assert set(NON_DEFAULT) == set(cli.FLAG_FIELDS.values())
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    for field, value in NON_DEFAULT.items():
+        assert value != defaults[field], field
+
+
+def base_flags(*leave_out: str) -> list[str]:
+    given = {"--target": TARGET, "--scope": SCOPE}
+    return [
+        part
+        for flag, value in given.items()
+        if flag not in leave_out
+        for part in (flag, value)
+    ]
+
+
+@pytest.mark.parametrize(
+    "subcommand, flag",
+    [(name, flag) for name, flag in option_flags() if flag in cli.FLAG_FIELDS],
+)
+def test_flag_sets_its_field(subcommand, flag):
+    field = cli.FLAG_FIELDS[flag]
+    value = NON_DEFAULT[field]
+    argv = [subcommand, *base_flags(flag), flag, str(value)]
+    if subcommand == "bench":
+        # the base config that bench derives each target's config from
+        argv += ["--manifests", "m"]
+    config = cli._build_config(cli.build_parser().parse_args(argv))
+    assert getattr(config, field) == value
+
+
+@pytest.mark.parametrize("flag", sorted(cli.FLAG_FIELDS))
+def test_config_key_sets_the_field_its_flag_sets(tmp_path, flag):
+    field = cli.FLAG_FIELDS[flag]
+    value = NON_DEFAULT[field]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({field: value}), encoding="utf-8")
+    parse = cli.build_parser().parse_args
+    base = ["run", *base_flags(flag)]
+    from_key = cli._build_config(parse([*base, "--config", str(path)]))
+    from_flag = cli._build_config(parse([*base, flag, str(value)]))
+    assert getattr(from_key, field) == getattr(from_flag, field) == value
+
+
+def test_scope_flag_splits_and_repeats(monkeypatch):
+    seen = capture_runs(monkeypatch)
+    argv = ["run", "--target", TARGET, "--scope", f"{TARGET}, 10.0.0.0/8,"]
+    assert cli.main(argv) == cli.EXIT_STAGE
+    argv += ["--scope", "h"]
+    assert cli.main(argv) == cli.EXIT_STAGE
+    assert [config.scope for config, _ in seen] == [
+        (TARGET, "10.0.0.0/8"),
+        (TARGET, "10.0.0.0/8", "h"),
+    ]
+
+
+def test_offline_and_online_flags_set_the_knowledge_mode(tmp_path, monkeypatch):
+    for flag, mode, other in (
+        ("--offline", KNOWLEDGE_OFFLINE, KNOWLEDGE_ONLINE),
+        ("--online", KNOWLEDGE_ONLINE, KNOWLEDGE_OFFLINE),
+    ):
+        doc = {"target": TARGET, "scope": [TARGET], "knowledge_mode": other}
+        rc, seen = run_with_config(tmp_path, monkeypatch, doc, flag)
+        assert rc == cli.EXIT_STAGE
+        assert seen[0][0].knowledge_mode == mode
+
+
+def test_force_flag_sets_force_stages(monkeypatch):
+    seen = capture_runs(monkeypatch)
+    assert cli.main(["run", *base_flags()]) == cli.EXIT_STAGE
+    assert cli.main(["run", *base_flags(), "--force"]) == cli.EXIT_STAGE
+    assert [config.force_stages for config, _ in seen] == [False, True]
+
+
+def test_config_flag_reads_the_file(tmp_path, monkeypatch):
+    rc, seen = run_with_config(
+        tmp_path, monkeypatch, {"target": TARGET, "scope": [TARGET], "max_steps": 3}
+    )
+    assert rc == cli.EXIT_STAGE
+    assert seen[0][0].max_steps == 3
+    # a flag wins over the key it mirrors
+    argv = ["run", "--config", str(tmp_path / "config.json"), "--max-steps", "4"]
+    assert cli.main(argv) == cli.EXIT_STAGE
+    assert seen[1][0].max_steps == 4
+    assert cli.main(["run", "--config", str(tmp_path / "none.json")]) == cli.EXIT_CONFIG
+
+
+def test_search_fixtures_flag_builds_fixture_connectors(tmp_path, monkeypatch):
+    seen = capture_runs(monkeypatch)
+    assert cli.main(["run", *base_flags()]) == cli.EXIT_STAGE
+    argv = ["run", *base_flags(), "--search-fixtures", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_STAGE
+    assert seen[0][1] == []
+    connectors = seen[1][1]
+    assert all(isinstance(c, FixtureConnector) for c in connectors)
+    assert [c.kind for c in connectors] == list(ConnectorKind)
+    assert {c.directory for c in connectors} == {tmp_path}
+
+
+def test_verbose_flag_logs_debug(monkeypatch):
+    levels = []
+    monkeypatch.setattr(
+        cli.logging, "basicConfig", lambda **kwargs: levels.append(kwargs["level"])
+    )
+    capture_runs(monkeypatch)
+    cli.main(["run", *base_flags()])
+    cli.main(["run", *base_flags(), "-v"])
+    cli.main(["report", "--run-dir", "missing", "--verbose"])
+    assert levels == [logging.WARNING, logging.DEBUG, logging.DEBUG]
+
+
+def test_manifests_and_replay_root_flags_set_each_target(tmp_path, monkeypatch):
+    manifest_dir = tmp_path / "manifests"
+    manifest_dir.mkdir()
+    (manifest_dir / "alpha.json").write_text(
+        json.dumps(
+            {
+                "name": "alpha",
+                "application": "DemoSrv",
+                "version": "1.2.3",
+                "target_address": "127.0.0.7",
+                "cves": {"CVE-2024-0001": {"epss": 50.0, "exploitability": 3.9}},
+            }
+        ),
+        encoding="utf-8",
+    )
+    seen = capture_runs(monkeypatch)
+    argv = [
+        "bench", "--manifests", str(manifest_dir), "--output", str(tmp_path / "o"),
+        "--replay-root", str(tmp_path / "replays"),
+    ]
+    assert cli.main(argv) == cli.EXIT_OK
+    [(config, _)] = seen
+    assert (config.application, config.version, config.target) == (
+        "DemoSrv", "1.2.3", "127.0.0.7"
+    )
+    assert config.replay_dir == str(tmp_path / "replays" / "alpha")
+
+
+def test_run_dir_and_format_flags_choose_the_report(tmp_path, capsys):
+    config = RunConfig(target=TARGET, scope=(TARGET,))
+    save_record(RunRecord(run_id="r1", config=config), tmp_path / "record.json")
+    assert cli.main(["report", "--run-dir", str(tmp_path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["target"] == TARGET
+    assert cli.main(["report", "--run-dir", str(tmp_path)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("#")
+    assert cli.main(["report", "--run-dir", str(tmp_path / "other")]) == cli.EXIT_CONFIG
 
 
 # ---------------------------------------------------------------------------

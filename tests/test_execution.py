@@ -484,13 +484,6 @@ def test_prepare_indexes_local_exploit_files(tmp_path):
     assert any("TARGET_URL" in p or "target_url" in p for p in prompts_seen)
 
 
-def test_requirement_round_trip():
-    requirement = ParameterRequirement(
-        name="rhost", description="d", value="10.0.0.5", source=ParamSource.DEFAULT
-    )
-    assert ParameterRequirement.from_dict(requirement.to_dict()) == requirement
-
-
 # ---------------------------------------------------------------------------
 # run_plan
 # ---------------------------------------------------------------------------

@@ -10,6 +10,12 @@ Every module-level function, class and constant (a name a module-level
 assignment binds), and every method of a module-level class but dunders, is
 named somewhere in the package source outside its own definition, is listed
 in an ``__all__``, or is on ``KEPT_DEFINITIONS`` with the reason it stays.
+
+Every defaulted parameter of a package function, method or constructor (a
+frozen dataclass's defaulted fields included) is passed, by keyword or by
+position, in some call in the package or the benchmark, or is on
+``KEPT_PARAMETERS`` with the reason it stays: a value that nothing sets is a
+knob that does nothing.
 """
 
 import ast
@@ -19,6 +25,7 @@ from pathlib import Path
 import pentestflow
 
 PACKAGE_DIR = Path(pentestflow.__file__).resolve().parent
+BENCHMARK_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -239,3 +246,210 @@ def test_only_the_gateway_touches_session_history():
         and (lines := history_accesses(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+# parameter -> why it stays although no call in the package or the benchmark
+# passes it
+KEPT_PARAMETERS = {
+    "gateway.ChatSession.complete_structured(max_repairs)": (
+        "tests bound one call's repairs apart from the session's"
+    ),
+    "gateway.HttpChatBackend(timeout)": "tests time calls to a local server out",
+    "gateway.ReplayBackend(entries)": "tests replay transcripts held in memory",
+    "gateway.ScriptedBackend(responses)": "tests script a fixed list of replies",
+    "gateway.register_schema(replace)": "tests re-register their own schemas",
+    "pipeline.run_pipeline(backend_factory)": "public keyword of run_pipeline",
+    "pipeline.run_pipeline(clock)": "public keyword of run_pipeline",
+    "pipeline.run_pipeline(connectors)": "public keyword of run_pipeline",
+    "pipeline.run_pipeline(executor)": "public keyword of run_pipeline",
+    "rag.HashingEmbedder(dimension)": (
+        "tests check the embedder against its oracle at small dimensions"
+    ),
+    "rag.RagStore.index(chunk_size)": "tests chunk small documents finely",
+    "rag.RagStore.index(overlap)": "tests chunk small documents finely",
+    "sandbox.CommandSpec(env_overrides)": "tests run commands in a set environment",
+    "sandbox.CommandSpec(timeout)": (
+        "tests time commands out; ROADMAP item 9 decides who sets it"
+    ),
+    "sandbox.CommandSpec(working_dir)": "tests run commands in a set directory",
+    "sandbox.SandboxExecutor(denylist_path)": (
+        "an operator's own denylist file, handed to InteractivityGuard"
+    ),
+    "sandbox.SandboxExecutor(output_cap)": "tests cap output far below the default",
+}
+
+
+def _decorator_names(node: ast.ClassDef | ast.FunctionDef) -> set[str]:
+    names = set()
+    for decorator in node.decorator_list:
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        if isinstance(decorator, ast.Name):
+            names.add(decorator.id)
+        elif isinstance(decorator, ast.Attribute):
+            names.add(decorator.attr)
+    return names
+
+
+def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Call)
+        and any(
+            k.arg == "frozen" and isinstance(k.value, ast.Constant) and k.value.value
+            for k in d.keywords
+        )
+        for d in node.decorator_list
+    )
+
+
+def _signature(fn: ast.FunctionDef, bound: bool) -> tuple[list[str], list[str]]:
+    """(names a positional argument fills, in order; defaulted names) of a
+    function; a bound method's first parameter fills from the receiver."""
+    args = fn.args
+    ordered = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = ordered[len(ordered) - len(args.defaults) :]
+    defaulted += [
+        a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    ]
+    return ordered[1:] if bound else ordered, defaulted
+
+
+def _callables(module: str, text: str):
+    """(label, name a call uses, positional names, defaulted names) of each
+    module-level function, each method but dunders other than __init__ (a
+    class's constructor, called by the class name), and each frozen
+    dataclass's constructor."""
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.FunctionDef):
+            yield (f"{module}.{node.name}", node.name, *_signature(node, False))
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if _is_frozen_dataclass(node):
+            fields = [
+                f
+                for f in node.body
+                if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+            ]
+            yield (
+                f"{module}.{node.name}",
+                node.name,
+                [f.target.id for f in fields],
+                [f.target.id for f in fields if f.value is not None],
+            )
+        for fn in node.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            bound = "staticmethod" not in _decorator_names(fn)
+            if fn.name == "__init__":
+                yield (f"{module}.{node.name}", node.name, *_signature(fn, bound))
+            elif not fn.name.startswith("__"):
+                label = f"{module}.{node.name}.{fn.name}"
+                yield (label, fn.name, *_signature(fn, bound))
+
+
+def _calls(text: str):
+    """(callee name, call) of each call: ``f(...)`` and ``x.f(...)`` call f,
+    and ``cls(...)`` in a class body calls that class."""
+    tree = ast.parse(text)
+    owner = {
+        node: cls.name
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in ast.walk(cls)
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            name = owner.get(node, "cls") if func.id == "cls" else func.id
+        elif isinstance(func, ast.Attribute):
+            name = func.attr
+        else:
+            continue
+        yield name, node
+
+
+def unpassed_parameters(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """Defaulted parameters of the sources' (module name -> text) functions,
+    methods and constructors that no call in the sources or in the callers'
+    texts passes. Calls match by name alone, so a call reaches every
+    definition of that name; one that spreads ``*args`` or ``**kwargs``
+    passes every parameter."""
+    definitions = [
+        entry for module, text in sources.items() for entry in _callables(module, text)
+    ]
+    passed: dict[str, set[str]] = {label: set() for label, *_ in definitions}
+    for text in [*sources.values(), *callers]:
+        for name, call in _calls(text):
+            spread = any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords
+            )
+            for label, callee, ordered, defaulted in definitions:
+                if callee != name:
+                    continue
+                if spread:
+                    passed[label].update(defaulted)
+                passed[label].update(ordered[: len(call.args)])
+                passed[label].update(k.arg for k in call.keywords if k.arg)
+    return sorted(
+        f"{label}({parameter})"
+        for label, _, _, defaulted in definitions
+        for parameter in defaulted
+        if parameter not in passed[label]
+    )
+
+
+def test_unpassed_parameter_oracle():
+    sources = {
+        "a": (
+            "from dataclasses import dataclass\n"
+            "def f(x, by_position=1, by_keyword=2, unset=3, *, kw_unset=4):\n"
+            "    pass\n"
+            "class C:\n"
+            "    def __init__(self, unset=None, spread=None):\n"
+            "        pass\n"
+            "    def m(self, set_by_b=0):\n"
+            "        return self\n"
+            "    @classmethod\n"
+            "    def make(cls, unset=0):\n"
+            "        return cls(**{})\n"
+            "    def __call__(self, dunder=0):\n"
+            "        pass\n"
+            "@dataclass(frozen=True)\n"
+            "class Value:\n"
+            "    required: int\n"
+            "    positional: int = 0\n"
+            "    unset: str = ''\n"
+            "@dataclass\n"
+            "class State:\n"
+            "    count: int = 0\n"
+        ),
+        "b": "from a import f, C, Value\nf(1, 2, by_keyword=3)\nValue(1, 2)\n",
+    }
+    callers = ["from a import C\nC().m(set_by_b=1)\n"]
+    assert unpassed_parameters(sources, callers) == [
+        "a.C.make(unset)",
+        "a.Value(unset)",
+        "a.f(kw_unset)",
+        "a.f(unset)",
+    ]
+    assert unpassed_parameters(sources, []) == [
+        "a.C.m(set_by_b)",
+        "a.C.make(unset)",
+        "a.Value(unset)",
+        "a.f(kw_unset)",
+        "a.f(unset)",
+    ]
+
+
+def test_every_defaulted_parameter_is_passed():
+    paths = sorted(PACKAGE_DIR.rglob("*.py"))
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in paths}
+    callers = [
+        path.read_text(encoding="utf-8") for path in sorted(BENCHMARK_DIR.glob("*.py"))
+    ]
+    assert callers
+    # the allowlist holds exactly what the scan flags, so an entry whose
+    # parameter is deleted, or becomes passed, has to leave it
+    assert unpassed_parameters(sources, callers) == sorted(KEPT_PARAMETERS)

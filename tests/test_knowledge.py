@@ -230,28 +230,6 @@ def test_query_unparseable_version_goes_unknown():
     assert [n.cve_id for n in unknown] == ["CVE-2023-46604"]
 
 
-def test_query_effect_filter():
-    tree = KnowledgeTree()
-    tree.upsert(
-        "App",
-        make_vuln(
-            cve="CVE-2023-0001",
-            vuln_type="path traversal",
-            exploits=[make_exploit("r1", effect="path traversal")],
-        ),
-    )
-    tree.upsert(
-        "App",
-        make_vuln(
-            cve="CVE-2023-0002",
-            vuln_type="denial of service",
-            exploits=[make_exploit("r2", effect="denial of service")],
-        ),
-    )
-    matching, _ = tree.query("App", "5.17.0", effect_filter="Path Traversal")
-    assert [n.cve_id for n in matching] == ["CVE-2023-0001"]
-
-
 def test_query_never_returns_provably_excluded(tmp_path):
     rng = random.Random(5)
     tree = KnowledgeTree()

@@ -232,6 +232,29 @@ def test_config_round_trip():
     assert RunConfig.from_dict(config.to_dict()) == config
 
 
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        ({"max_step": 5}, "max_step"),
+        ({"max_steps": "5"}, "max_steps"),
+        ({"force_stages": "false"}, "force_stages"),
+        ({"scope": TARGET}, "scope"),
+        ({"target": None}, "target"),
+    ],
+)
+def test_config_from_dict_names_the_bad_key(change, key):
+    raw = {**RunConfig(target=TARGET, scope=(TARGET,)).to_dict(), **change}
+    with pytest.raises(ConfigError, match=repr(key)):
+        RunConfig.from_dict(raw)
+
+
+def test_config_from_dict_names_a_missing_key():
+    raw = RunConfig(target=TARGET, scope=(TARGET,)).to_dict()
+    del raw["scope"]
+    with pytest.raises(ConfigError, match="'scope'"):
+        RunConfig.from_dict(raw)
+
+
 def test_run_id_stable_and_sensitive():
     a = RunConfig(target=TARGET, scope=(TARGET,))
     b = RunConfig(target=TARGET, scope=(TARGET,))
@@ -285,6 +308,22 @@ def test_incomplete_intelligence_stops_run_all(tmp_path):
     assert record.stage_status(STAGE_EXPLOITATION) == STATUS_SKIPPED
     # the report still renders from the partial record
     assert (runner.run_dir / "report.md").is_file()
+
+
+def test_forced_run_all_with_empty_plan_still_reports(tmp_path):
+    scripts = {
+        "recon": recon_scripts(),
+        "recon-summary": summary_scripts(product="SomethingElse"),
+        "plan-surfaces": [json.dumps({"suggestions": []})],
+    }
+    runner = make_runner(tmp_path, scripts=scripts, force_stages=True)
+    record = runner.run_all()  # forced past recon, stopped by the empty plan
+    assert record.stage_status(STAGE_INTELLIGENCE) == STATUS_INCOMPLETE
+    assert record.stage_status(STAGE_ANALYSIS) == STATUS_INCOMPLETE
+    assert record.stage_status(STAGE_EXPLOITATION) == STATUS_SKIPPED
+    assert not record.plan.entries
+    assert (runner.run_dir / "report.md").is_file()
+    assert load_record(runner.run_dir / "record.json").to_dict() == record.to_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from pentestflow.search import (
     ConnectorUnavailable,
     FixtureConnector,
     SearchAgent,
-    SearchAgentConfig,
     SearchQuery,
     SearchResultDoc,
     query_fixture_name,
@@ -44,9 +43,9 @@ def make_session(responses=None, responder=None, name="search"):
     return ChatSession(name, "sys", WIDE_PROFILE, backend)
 
 
-def make_agent(tmp_path, connectors, **config):
+def make_agent(tmp_path, connectors):
     rag = RagStore(tmp_path / "rag")
-    return SearchAgent(connectors, rag, KnowledgeTree(), SearchAgentConfig(**config))
+    return SearchAgent(connectors, rag, KnowledgeTree())
 
 
 class FailingConnector:
@@ -268,7 +267,7 @@ def test_extract_surfaces_drops_unassigned_without_leads(tmp_path):
 
 
 def test_extract_surfaces_caps_leads(tmp_path):
-    agent = make_agent(tmp_path, [], lead_cap=10)
+    agent = make_agent(tmp_path, [])
     leads = [f"lead {i}" for i in range(15)]
     session = make_session(
         [
@@ -329,7 +328,6 @@ def make_surface(cve_id="CVE-2023-46604", leads=("openwire deserialization",)):
         vuln_type="rce",
         affected_versions="<=5.17.3",
         leads=tuple(leads),
-        relevance=True,
         source_uri="https://adv.org/1",
     )
 
