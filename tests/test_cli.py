@@ -5,11 +5,14 @@ import argparse
 import dataclasses
 import json
 import logging
+from pathlib import Path
 
 import pytest
 
 from pentestflow import cli
 from pentestflow.gateway import (
+    BackendUnreachable,
+    HttpChatBackend,
     ScriptedBackend,
     TranscriptEntry,
     read_transcript,
@@ -27,10 +30,12 @@ from pentestflow.pipeline import (
     RunRecord,
     StageIncomplete,
     load_record,
+    record_to_bytes,
     save_record,
 )
 from pentestflow.search import ConnectorKind, FixtureConnector
 
+from test_records import RECORD
 from test_search import (
     CVE_QUERY,
     ROUND1_QUERY,
@@ -239,6 +244,8 @@ def test_plan_before_recon_is_stage_error(tmp_path, capsys):
             TARGET,
             "--scope",
             TARGET,
+            "--replay",
+            str(tmp_path / "transcripts"),
             "--output",
             str(tmp_path / "runs"),
         ]
@@ -255,6 +262,8 @@ def test_exploit_before_plan_is_stage_error(tmp_path):
             TARGET,
             "--scope",
             TARGET,
+            "--replay",
+            str(tmp_path / "transcripts"),
             "--output",
             str(tmp_path / "runs"),
         ]
@@ -270,6 +279,43 @@ def test_corrupt_record_is_internal_error(tmp_path, capsys):
     (tmp_path / "record.json").write_text("{not json", encoding="utf-8")
     assert cli.main(["report", "--run-dir", str(tmp_path)]) == cli.EXIT_INTERNAL
     assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, value, named",
+    [
+        (["success_index"], "1", "RunRecord['success_index']"),
+        (["outcomes", 0, "status"], "won", "RunRecord['outcomes'][0]['status']"),
+    ],
+    ids=["success-index-as-string", "unknown-status"],
+)
+def test_malformed_record_is_config_error(tmp_path, capsys, path, value, named):
+    doc = json.loads(record_to_bytes(RECORD))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    (tmp_path / "record.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["report", "--run-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error: " in err and named in err
+    assert not (tmp_path / "report.md").exists()
+
+
+def test_replay_provider_without_transcripts_sends_nothing(
+    tmp_path, monkeypatch, capsys
+):
+    sent = []
+
+    def send(self, request):
+        sent.append(request)
+        raise BackendUnreachable("stubbed: no request may leave the test")
+
+    monkeypatch.setattr(HttpChatBackend, "send", send)
+    argv = ["run", "--target", TARGET, "--scope", TARGET, "--output", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert sent == []
+    assert "--replay" in capsys.readouterr().err
 
 
 def test_empty_manifest_dir_is_config_error(tmp_path):
@@ -759,6 +805,32 @@ def test_bench_applies_run_flags_without_target(tmp_path, monkeypatch):
         assert config.record_dir == str(record / name)
         assert config.target == TARGET
         assert config.output_dir == str(tmp_path / "out" / "runs" / name)
+
+
+def test_bench_takes_output_dir_from_the_config_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    manifest_dir = tmp_path / "manifests"
+    manifest_dir.mkdir()
+    (manifest_dir / "alpha.json").write_text(
+        json.dumps(
+            {
+                "name": "alpha",
+                "application": "DemoSrv",
+                "version": "1.2.3",
+                "target_address": TARGET,
+                "cves": {"CVE-2024-0001": {"epss": 50.0, "exploitability": 3.9}},
+            }
+        ),
+        encoding="utf-8",
+    )
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"output_dir": "mine"}), encoding="utf-8")
+    seen = capture_runs(monkeypatch)
+    argv = ["bench", "--manifests", str(manifest_dir), "--config", str(config_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert [config.output_dir for config, _ in seen] == [str(Path("mine", "runs", "alpha"))]
+    assert (tmp_path / "mine" / "results.csv").is_file()
+    assert not (tmp_path / "bench-out").exists()
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,11 @@ Every defaulted parameter of a package function, method or constructor (a
 frozen dataclass's defaulted fields included) is passed, by keyword or by
 position, in some call in the package or the benchmark, or is on
 ``KEPT_PARAMETERS`` with the reason it stays: a value that nothing sets is a
-knob that does nothing.
+knob that does nothing. A ``Record`` subclass's fields count as passed,
+since its ``from_dict`` sets each of them from JSON.
+
+No module but ``records.py`` defines a ``to_dict`` or ``from_dict``, apart
+from the overrides on ``CODEC_OVERRIDES`` with the reason each stays.
 """
 
 import ast
@@ -248,6 +252,64 @@ def test_only_the_gateway_touches_session_history():
     assert found == {}
 
 
+# Every persisted record derives to_dict and from_dict from its fields
+# through records.py; a hand-written one is a second spelling of the fields.
+CODEC_OWNER = "records.py"
+# module.Class.method -> why it overrides the derived one
+CODEC_OVERRIDES = {
+    "knowledge.VulnerabilityNode.to_dict": (
+        "node files hold sorted exploits and sources, and no unknown epss"
+    ),
+    "pipeline.RunConfig.from_dict": "a bad --config file exits with code 2",
+}
+
+
+def codec_definitions(module: str, source: str) -> list[str]:
+    """Each function or method named to_dict or from_dict, as
+    module[.Class].name."""
+    tree = ast.parse(source)
+    owner = {
+        fn: f"{cls.name}."
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+    }
+    return sorted(
+        f"{module}.{owner.get(node, '')}{node.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name in ("to_dict", "from_dict")
+    )
+
+
+def test_codec_definition_oracle():
+    source = (
+        "class Saved(Record):\n"
+        "    def to_dict(self):\n        return super().to_dict()\n"
+        "    def as_dict(self):\n        return {}\n"
+        "class Loaded:\n"
+        "    @classmethod\n    def from_dict(cls, raw):\n        return cls()\n"
+        "def to_dict(x):\n    return x.to_dict()\n"
+    )
+    assert codec_definitions("a", source) == [
+        "a.Loaded.from_dict",
+        "a.Saved.to_dict",
+        "a.to_dict",
+    ]
+
+
+def test_only_records_defines_the_codec():
+    modules = sorted(PACKAGE_DIR.rglob("*.py"))
+    assert any(path.name == CODEC_OWNER for path in modules)
+    found = [
+        name
+        for path in modules
+        if path.name != CODEC_OWNER
+        for name in codec_definitions(path.stem, path.read_text(encoding="utf-8"))
+    ]
+    assert sorted(found) == sorted(CODEC_OVERRIDES)
+
+
 # parameter -> why it stays although no call in the package or the benchmark
 # passes it
 KEPT_PARAMETERS = {
@@ -314,11 +376,16 @@ def _signature(fn: ast.FunctionDef, bound: bool) -> tuple[list[str], list[str]]:
     return ordered[1:] if bound else ordered, defaulted
 
 
+def _is_record(node: ast.ClassDef) -> bool:
+    return any(isinstance(b, ast.Name) and b.id == "Record" for b in node.bases)
+
+
 def _callables(module: str, text: str):
     """(label, name a call uses, positional names, defaulted names) of each
     module-level function, each method but dunders other than __init__ (a
     class's constructor, called by the class name), and each frozen
-    dataclass's constructor."""
+    dataclass's constructor; a record's constructor has no defaulted name
+    left unset, since from_dict passes every field."""
     for node in ast.parse(text).body:
         if isinstance(node, ast.FunctionDef):
             yield (f"{module}.{node.name}", node.name, *_signature(node, False))
@@ -334,7 +401,9 @@ def _callables(module: str, text: str):
                 f"{module}.{node.name}",
                 node.name,
                 [f.target.id for f in fields],
-                [f.target.id for f in fields if f.value is not None],
+                []
+                if _is_record(node)
+                else [f.target.id for f in fields if f.value is not None],
             )
         for fn in node.body:
             if not isinstance(fn, ast.FunctionDef):
@@ -424,6 +493,9 @@ def test_unpassed_parameter_oracle():
             "@dataclass\n"
             "class State:\n"
             "    count: int = 0\n"
+            "@dataclass(frozen=True)\n"
+            "class Saved(Record):\n"
+            "    read_from_json: str = ''\n"
         ),
         "b": "from a import f, C, Value\nf(1, 2, by_keyword=3)\nValue(1, 2)\n",
     }
