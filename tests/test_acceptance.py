@@ -41,6 +41,7 @@ from pentestflow.pipeline import (
     STATUS_COMPLETE,
     RunConfig,
     RunRecord,
+    StageStatus,
     load_record,
     record_to_bytes,
     run_id_for,
@@ -633,7 +634,7 @@ def test_criterion_06_difficulty_classifier():
     ]
 
     class _Record:
-        stage_statuses = {stage: {"status": "complete"} for stage in STAGES}
+        stage_statuses = {stage: StageStatus("complete", 0.0, 0.0) for stage in STAGES}
         ledger = {"accumulated_cost": 0.0}
 
     report = run_benchmark(manifests, lambda m: m.name, runner=lambda c: _Record())
@@ -791,11 +792,11 @@ def _random_record(rng: random.Random) -> RunRecord:
     if rng.random() < 0.8:
         record.finished_at = "2025-01-01T00:09:30+00:00"
     for stage in STAGES[: rng.randrange(0, 4)]:
-        record.stage_statuses[stage] = {
-            "status": rng.choice(["complete", "incomplete"]),
-            "wall_time": round(rng.uniform(0, 120), 3),
-            "cost": round(rng.uniform(0, 2), 10),
-        }
+        record.stage_statuses[stage] = StageStatus(
+            status=rng.choice(["complete", "incomplete"]),
+            wall_time=round(rng.uniform(0, 120), 3),
+            cost=round(rng.uniform(0, 2), 10),
+        )
     if rng.random() < 0.7:
         record.summary = EnvironmentSummary(
             target=TARGET,
@@ -942,9 +943,11 @@ def test_criterion_10_stage_metrics_tables():
 
     class _Record:
         def __init__(self, statuses, times, cost):
+            # a stage that did not run has no status
             self.stage_statuses = {
-                stage: {"status": status, "wall_time": wall}
+                stage: StageStatus(status, wall, 0.0)
                 for stage, status, wall in zip(STAGES, statuses, times)
+                if status != "skipped"
             }
             self.ledger = {"accumulated_cost": cost}
 

@@ -27,6 +27,7 @@ from pentestflow.pipeline import (
     STAGE_EXPLOITATION,
     STAGE_INTELLIGENCE,
     STAGES,
+    StageStatus,
 )
 
 # Independent re-statement of the bucketing rule, kept deliberately separate
@@ -57,7 +58,7 @@ class StubRecord:
     def __init__(self, statuses, times=None, cost=0.0):
         times = times or {}
         self.stage_statuses = {
-            stage: {"status": status, "wall_time": times.get(stage, 0.0)}
+            stage: StageStatus(status, times.get(stage, 0.0), 0.0)
             for stage, status in statuses.items()
         }
         self.ledger = {"accumulated_cost": cost}
@@ -234,6 +235,41 @@ def test_load_manifests_partitions_and_records_reasons(tmp_path):
     assert sorted(e["name"] for e in exclusions) == ["broken", "nocvss"]
     for entry in exclusions:
         assert entry["reason"]
+
+
+GOOD_MANIFEST = {
+    "name": "good",
+    "application": "DemoSrv",
+    "version": "1.2.3",
+    "cves": {"CVE-2024-0001": {"epss": 50.0, "exploitability": 3.1}},
+}
+
+
+def test_load_manifests_refuses_misspelled_keys_and_wrong_types(tmp_path):
+    def cve(**changes):
+        metrics = {"epss": 50.0, "exploitability": 3.1, **changes}
+        return {"cves": {"CVE-2024-0001": metrics}}
+
+    # file stem -> (changes to a good manifest, the key its exclusion names)
+    probes = {
+        "setup-reff": ({"setup_reff": "compose/x.yml"}, "['setup_reff']"),
+        "prof": ({"prof": "token"}, "['prof']"),
+        "epss-bool": (cve(epss=True), "['epss']"),
+        "version-number": ({"version": 1.5}, "['version']"),
+        "exploitability-string": (cve(exploitability="3.1"), "['exploitability']"),
+    }
+    for stem, (changes, _) in probes.items():
+        doc = {**GOOD_MANIFEST, "name": stem, **changes}
+        (tmp_path / f"{stem}.json").write_text(json.dumps(doc), encoding="utf-8")
+    bare = {"name": "bare", "cves": GOOD_MANIFEST["cves"]}
+    (tmp_path / "bare.json").write_text(json.dumps(bare), encoding="utf-8")
+
+    included, exclusions = load_manifests(tmp_path)
+    assert [(m.name, m.application, m.version) for m in included] == [("bare", "", "")]
+    reasons = {e["name"]: e["reason"] for e in exclusions}
+    assert sorted(reasons) == sorted(probes)
+    for stem, (_, key) in probes.items():
+        assert key in reasons[stem], reasons[stem]
 
 
 # ---------------------------------------------------------------------------

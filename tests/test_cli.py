@@ -275,10 +275,11 @@ def test_report_without_record_is_config_error(tmp_path):
     assert cli.main(["report", "--run-dir", str(tmp_path)]) == cli.EXIT_CONFIG
 
 
-def test_corrupt_record_is_internal_error(tmp_path, capsys):
+def test_corrupt_record_is_config_error(tmp_path, capsys):
     (tmp_path / "record.json").write_text("{not json", encoding="utf-8")
-    assert cli.main(["report", "--run-dir", str(tmp_path)]) == cli.EXIT_INTERNAL
-    assert "internal error" in capsys.readouterr().err
+    assert cli.main(["report", "--run-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"configuration error: {tmp_path / 'record.json'}: " in err
 
 
 @pytest.mark.parametrize(
@@ -286,8 +287,31 @@ def test_corrupt_record_is_internal_error(tmp_path, capsys):
     [
         (["success_index"], "1", "RunRecord['success_index']"),
         (["outcomes", 0, "status"], "won", "RunRecord['outcomes'][0]['status']"),
+        (
+            ["stage_statuses", "intelligence_gathering"],
+            7,
+            "RunRecord['stage_statuses']['intelligence_gathering'] must be an object",
+        ),
+        (
+            ["stage_statuses", "intelligence_gathering", "wall_time"],
+            "fast",
+            "RunRecord['stage_statuses']['intelligence_gathering']['wall_time']",
+        ),
+        (["ledger", "call_count"], "many", "UsageLedger['call_count']"),
+        (
+            ["stage_statuses", "exploitaton"],
+            {"status": "complete", "wall_time": 1.0, "cost": 0.0},
+            "names no stage 'exploitaton'",
+        ),
     ],
-    ids=["success-index-as-string", "unknown-status"],
+    ids=[
+        "success-index-as-string",
+        "unknown-status",
+        "stage-status-not-an-object",
+        "wall-time-as-string",
+        "call-count-as-string",
+        "misspelled-stage",
+    ],
 )
 def test_malformed_record_is_config_error(tmp_path, capsys, path, value, named):
     doc = json.loads(record_to_bytes(RECORD))
@@ -300,6 +324,43 @@ def test_malformed_record_is_config_error(tmp_path, capsys, path, value, named):
     err = capsys.readouterr().err
     assert "configuration error: " in err and named in err
     assert not (tmp_path / "report.md").exists()
+
+
+@pytest.mark.parametrize(
+    "line, named",
+    [
+        ("not json", "Expecting value"),
+        ({"extra": 1}, "TranscriptEntry['extra'] is not a field"),
+    ],
+    ids=["not-json", "unknown-key"],
+)
+def test_bad_transcript_line_is_config_error(tmp_path, capsys, line, named):
+    transcripts = tmp_path / "tr"
+    transcripts.mkdir()
+    good = TranscriptEntry(0, "", "{}", 1, 1).to_dict()
+    if isinstance(line, dict):
+        line = json.dumps({**good, **line})
+    path = transcripts / "recon.jsonl"
+    path.write_text(f"{json.dumps(good)}\n\n{line}\n", encoding="utf-8")
+    argv = ["run", "--target", TARGET, "--scope", TARGET, "--replay", str(transcripts)]
+    assert cli.main(argv + ["--output", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"configuration error: {path}:3: " in err and named in err
+
+
+def test_corrupt_knowledge_node_is_config_error(tmp_path, capsys):
+    tree = KnowledgeTree()
+    tree.upsert("App", VulnerabilityNode(cve_id="CVE-2020-0001", epss=5.0))
+    kb_dir = tmp_path / "kb"
+    tree.save(kb_dir)
+    (node_path,) = kb_dir.glob("*/CVE-2020-0001.json")
+    doc = json.loads(node_path.read_text(encoding="utf-8"))
+    node_path.write_text(json.dumps({**doc, "epss": "5"}), encoding="utf-8")
+    argv = ["plan", "--target", TARGET, "--scope", TARGET, "--knowledge", str(kb_dir)]
+    argv += ["--application", "App", "--force", "--replay", str(tmp_path / "tr")]
+    assert cli.main(argv + ["--output", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(node_path) in err and "['epss']" in err
 
 
 def test_replay_provider_without_transcripts_sends_nothing(

@@ -28,7 +28,7 @@ from pentestflow.pipeline import (
     run_id_for,
     save_record,
 )
-from pentestflow.recon import env_corpus_id
+from pentestflow.recon import EnvironmentSummary, ServiceFingerprint, env_corpus_id
 from pentestflow.report import render_report
 from pentestflow.sandbox import ExecutionResult
 from pentestflow.search import (
@@ -375,9 +375,7 @@ def test_ledger_totality(tmp_path):
     assert record.ledger == total.to_dict()
     assert record.ledger["call_count"] > 0
     # per-stage costs in the record sum to the ledger total (same rounding)
-    stage_costs = sum(
-        info["cost"] for info in record.stage_statuses.values()
-    )
+    stage_costs = sum(info.cost for info in record.stage_statuses.values())
     assert abs(stage_costs - total.accumulated_cost) < 1e-9
 
 
@@ -451,9 +449,10 @@ def test_record_round_trip_bytes(tmp_path):
 
 def test_render_report_is_pure(tmp_path):
     runner = make_runner(tmp_path)
-    record = runner.run_all().to_dict()
+    record = runner.run_all()
     md1, json1 = render_report(record)
-    md2, json2 = render_report(json.loads(json.dumps(record)))
+    again = RunRecord.from_dict(json.loads(json.dumps(record.to_dict())))
+    md2, json2 = render_report(again)
     assert md1 == md2
     assert json1 == json2
 
@@ -481,14 +480,19 @@ def _unescaped_pipes(line: str) -> int:
 
 @pytest.mark.parametrize("product", ["a|b\nc", "a\r\nb|", "trailing\\", "x\\|y\rz"])
 def test_report_table_cells_escape_pipes_and_line_breaks(product):
-    fingerprint = {
-        "host": "10.0.0.5|evil",
-        "port": 8080,
-        "service": "http\n| injected | row |",
-        "product": product,
-        "version": "1.2\r\n3",
-    }
-    record = {"summary": {"os_guess": "linux", "fingerprints": [fingerprint]}}
+    fingerprint = ServiceFingerprint(
+        host="10.0.0.5|evil",
+        port=8080,
+        protocol="tcp",
+        service="http\n| injected | row |",
+        product=product,
+        version="1.2\r\n3",
+    )
+    record = RunRecord(
+        run_id="r",
+        config=RunConfig(target=TARGET, scope=(TARGET,)),
+        summary=EnvironmentSummary(TARGET, "linux", (fingerprint,), "", ""),
+    )
     markdown, _ = render_report(record)
     header = "| Host | Port | Service | Product | Version |"
     lines = markdown.splitlines()

@@ -3,13 +3,15 @@ reads back as itself, and that a malformed mapping is refused with its key
 named.
 
 The golden texts pin the bytes the program writes (run records, configs,
-knowledge node files, transcripts): any change to them is a format change
-and has to show up here. Each golden is the record's ``to_dict`` dumped
+knowledge node files, transcripts, and the two reports rendered from a run
+record): any change to them is a format change and has to show up here. Each golden is the record's ``to_dict`` dumped
 without ``sort_keys``, so field order is pinned too; the planning prompt
 dumps the environment summary that way.
 """
 
+import importlib
 import json
+import pkgutil
 import re
 from dataclasses import MISSING, fields
 
@@ -17,6 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pentestflow
+from pentestflow.bench import CveMetrics, TargetManifest
 from pentestflow.config import ConfigError
 from pentestflow.execution import ErrorHistoryEntry, ExploitOutcome, OutcomeStatus
 from pentestflow.gateway import TranscriptEntry, UsageLedger, transcript_lines
@@ -24,12 +28,18 @@ from pentestflow.knowledge import EFFECT_VOCABULARY, ExploitNode, VulnerabilityN
 from pentestflow.pipeline import (
     KNOWLEDGE_OFFLINE,
     KNOWLEDGE_ONLINE,
+    STAGES,
+    STATUS_COMPLETE,
+    STATUS_INCOMPLETE,
     RunConfig,
     RunRecord,
+    StageStatus,
     record_to_bytes,
+    write_report_files,
 )
 from pentestflow.planning import AttackSurfaceSuggestion, ExploitPlan, PlanEntry
 from pentestflow.recon import EnvironmentSummary, ServiceFingerprint
+from pentestflow.records import Record
 
 # ---------------------------------------------------------------------------
 # One fixed instance of each class
@@ -71,6 +81,17 @@ FAILED = ExploitOutcome(OutcomeStatus.FAILED, "", 3, [ERROR, ErrorHistoryEntry(3
 SUCCESS = ExploitOutcome(OutcomeStatus.SUCCESS, "PFB-token", 1, [], True)
 LEDGER = UsageLedger(input_tokens=240, output_tokens=60, call_count=2, accumulated_cost=0.00021)
 TRANSCRIPT = TranscriptEntry(0, "d" * 64, 'reply with "quotes" and ünïcode', 120, 30)
+STAGE = StageStatus("complete", 3.0, 0.0001)
+METRICS = CveMetrics(97.19, 3.9)
+MANIFEST = TargetManifest(
+    name="alpha",
+    cves={"CVE-2024-0001": METRICS, "CVE-2024-0002": CveMetrics(10.0)},
+    application="DemoSrv",
+    version="1.2.3",
+    cwe_id="CWE-502",
+    setup_ref="compose/alpha.yml",
+    target_address="10.0.0.5",
+)
 CONFIG = RunConfig(
     target="10.0.0.5",
     scope=("10.0.0.0/24", "10.0.1.1"),
@@ -82,9 +103,7 @@ RECORD = RunRecord(
     config=CONFIG,
     started_at="1970-01-01T00:00:00Z",
     finished_at="1970-01-01T00:00:09Z",
-    stage_statuses={
-        "intelligence_gathering": {"status": "complete", "wall_time": 3.0, "cost": 0.0001}
-    },
+    stage_statuses={"intelligence_gathering": STAGE},
     summary=SUMMARY,
     suggestions=[SUGGESTION],
     plan=PLAN,
@@ -107,7 +126,10 @@ INSTANCES = {
     "UsageLedger": LEDGER,
     "TranscriptEntry": TRANSCRIPT,
     "RunConfig": CONFIG,
+    "StageStatus": STAGE,
     "RunRecord": RECORD,
+    "CveMetrics": METRICS,
+    "TargetManifest": MANIFEST,
 }
 
 # ---------------------------------------------------------------------------
@@ -115,6 +137,7 @@ INSTANCES = {
 # ---------------------------------------------------------------------------
 
 GOLDEN = {
+    "CveMetrics": '{"epss": 97.19, "exploitability": 3.9}',
     "AttackSurfaceSuggestion": (
         '{"application": "DemoSrv", "cve_id": "CVE-2021-0001", '
         '"vuln_type": "rce", "confidence": 0.9, '
@@ -219,6 +242,14 @@ GOLDEN = {
         '{"host": "10.0.0.5", "port": 8080, "protocol": "tcp", '
         '"service": "http", "product": "DemoSrv", "version": "1.2.3", '
         '"evidence": "Server: DemoSrv/1.2.3 ü"}'
+    ),
+    "StageStatus": '{"status": "complete", "wall_time": 3.0, "cost": 0.0001}',
+    "TargetManifest": (
+        '{"name": "alpha", "cves": {"CVE-2024-0001": {"epss": 97.19, '
+        '"exploitability": 3.9}, "CVE-2024-0002": {"epss": 10.0, '
+        '"exploitability": null}}, "application": "DemoSrv", '
+        '"version": "1.2.3", "cwe_id": "CWE-502", '
+        '"setup_ref": "compose/alpha.yml", "target_address": "10.0.0.5"}'
     ),
     "UsageLedger": (
         '{"input_tokens": 240, "output_tokens": 60, "call_count": 2, '
@@ -390,6 +421,238 @@ GOLDEN_TRANSCRIPT_LINE = (
     'reply with \\"quotes\\" and ünïcode","sequence_no":0}'
 )
 
+# report.md and report.json of RECORD and of a record with nothing in it yet
+BARE_RECORD = RunRecord(run_id="0123456789ab", config=CONFIG)
+GOLDEN_REPORT_MD_RECORD = """\
+# Penetration test report: 10.0.0.5
+
+- Run id: `0123456789ab`
+- Started: 1970-01-01T00:00:00Z
+- Finished: 1970-01-01T00:00:09Z
+- Scope: 10.0.0.0/24, 10.0.1.1
+- Provider profile: replay
+
+## Stage outcomes
+
+| Stage | Status | Wall time (s) | Cost (USD) |
+|---|---|---:|---:|
+| Intelligence gathering | complete | 3 | $0.000100 |
+| Vulnerability analysis | skipped | 0 | $0.000000 |
+| Exploitation | skipped | 0 | $0.000000 |
+
+## Environment
+
+- OS guess: linux
+- Notes: two services
+
+| Host | Port | Service | Product | Version |
+|---|---:|---|---|---|
+| 10.0.0.5 | 8080 | http | DemoSrv | 1.2.3 |
+| 10.0.0.5 | 22 | ssh | OpenSSH |  |
+
+## Attack surfaces considered
+
+- **CVE-2021-0001** (DemoSrv, rce) confidence 0.9: version matches
+
+## Exploit plan and outcomes
+
+1. `repo/b` for CVE-2021-0001 (remote code execution), confidence 0.75: failed
+   - steps taken: 3
+   - errors encountered: 2
+2. `repo/a` for CVE-2021-0001 (file upload), confidence 1: success **<- success**
+   - steps taken: 1
+   - evidence: `PFB-token`
+
+## Usage
+
+- Provider calls: 2
+- Input tokens: 240
+- Output tokens: 60
+- Accumulated cost: $0.000210
+"""
+GOLDEN_REPORT_JSON_RECORD = """\
+{
+  "environment": {
+    "collected_at": "1970-01-01T00:00:02Z",
+    "fingerprints": [
+      {
+        "evidence": "Server: DemoSrv/1.2.3 ü",
+        "host": "10.0.0.5",
+        "port": 8080,
+        "product": "DemoSrv",
+        "protocol": "tcp",
+        "service": "http",
+        "version": "1.2.3"
+      },
+      {
+        "evidence": "",
+        "host": "10.0.0.5",
+        "port": 22,
+        "product": "OpenSSH",
+        "protocol": "tcp",
+        "service": "ssh",
+        "version": ""
+      }
+    ],
+    "notes": "two services",
+    "os_guess": "linux",
+    "target": "10.0.0.5"
+  },
+  "finished_at": "1970-01-01T00:00:09Z",
+  "outcomes": [
+    {
+      "declared_success": false,
+      "error_history": [
+        {
+          "command": "python3 b.py",
+          "error_digest": "abcd1234abcd1234",
+          "error_excerpt": "Traceback",
+          "fix_applied": "pip install x",
+          "step_no": 2
+        },
+        {
+          "command": "ls",
+          "error_digest": "ff",
+          "error_excerpt": "",
+          "fix_applied": "",
+          "step_no": 3
+        }
+      ],
+      "evidence": "",
+      "status": "failed",
+      "steps_taken": 3
+    },
+    {
+      "declared_success": true,
+      "error_history": [],
+      "evidence": "PFB-token",
+      "status": "success",
+      "steps_taken": 1
+    }
+  ],
+  "plan": {
+    "entries": [
+      {
+        "application": "DemoSrv",
+        "confidence": 0.75,
+        "cve_id": "CVE-2021-0001",
+        "effect": "remote code execution",
+        "exploit": {
+          "applicable_versions": "<=2.0",
+          "effect": "remote code execution",
+          "local_path": "/poc/b.py",
+          "requirements": [
+            "python3",
+            "requests"
+          ],
+          "source_ref": "repo/b"
+        }
+      },
+      {
+        "application": "",
+        "confidence": 1,
+        "cve_id": "CVE-2021-0001",
+        "effect": "file upload",
+        "exploit": {
+          "applicable_versions": "",
+          "effect": "file upload",
+          "local_path": "",
+          "requirements": [],
+          "source_ref": "repo/a"
+        }
+      }
+    ]
+  },
+  "run_id": "0123456789ab",
+  "scope": [
+    "10.0.0.0/24",
+    "10.0.1.1"
+  ],
+  "stages": {
+    "intelligence_gathering": {
+      "cost": 0.0001,
+      "status": "complete",
+      "wall_time": 3.0
+    }
+  },
+  "started_at": "1970-01-01T00:00:00Z",
+  "success_index": 1,
+  "suggestions": [
+    {
+      "application": "DemoSrv",
+      "confidence": 0.9,
+      "cve_id": "CVE-2021-0001",
+      "rationale": "version matches",
+      "vuln_type": "rce"
+    }
+  ],
+  "target": "10.0.0.5",
+  "usage": {
+    "accumulated_cost": 0.00021,
+    "call_count": 2,
+    "input_tokens": 240,
+    "output_tokens": 60
+  }
+}
+"""
+GOLDEN_REPORT_MD_BARE = """\
+# Penetration test report: 10.0.0.5
+
+- Run id: `0123456789ab`
+- Started: 
+- Finished: 
+- Scope: 10.0.0.0/24, 10.0.1.1
+- Provider profile: replay
+
+## Stage outcomes
+
+| Stage | Status | Wall time (s) | Cost (USD) |
+|---|---|---:|---:|
+| Intelligence gathering | skipped | 0 | $0.000000 |
+| Vulnerability analysis | skipped | 0 | $0.000000 |
+| Exploitation | skipped | 0 | $0.000000 |
+
+## Environment
+
+- Reconnaissance did not produce a summary.
+
+## Attack surfaces considered
+
+- None identified.
+
+## Exploit plan and outcomes
+
+- No exploit plan was produced.
+
+## Usage
+
+- Provider calls: 0
+- Input tokens: 0
+- Output tokens: 0
+- Accumulated cost: $0.000000
+"""
+GOLDEN_REPORT_JSON_BARE = """\
+{
+  "environment": null,
+  "finished_at": "",
+  "outcomes": [],
+  "plan": {
+    "entries": []
+  },
+  "run_id": "0123456789ab",
+  "scope": [
+    "10.0.0.0/24",
+    "10.0.1.1"
+  ],
+  "stages": {},
+  "started_at": "",
+  "success_index": null,
+  "suggestions": [],
+  "target": "10.0.0.5",
+  "usage": {}
+}
+"""
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_dict_text(name):
@@ -402,6 +665,20 @@ def test_golden_record_bytes():
 
 def test_golden_transcript_line():
     assert transcript_lines([TRANSCRIPT]) == [GOLDEN_TRANSCRIPT_LINE]
+
+
+@pytest.mark.parametrize(
+    "record, markdown, json_text",
+    [
+        (RECORD, GOLDEN_REPORT_MD_RECORD, GOLDEN_REPORT_JSON_RECORD),
+        (BARE_RECORD, GOLDEN_REPORT_MD_BARE, GOLDEN_REPORT_JSON_BARE),
+    ],
+    ids=["RunRecord", "bare"],
+)
+def test_golden_report_bytes(tmp_path, record, markdown, json_text):
+    assert write_report_files(record, tmp_path) == (markdown, json_text)
+    assert (tmp_path / "report.md").read_bytes() == markdown.encode("utf-8")
+    assert (tmp_path / "report.json").read_bytes() == json_text.encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -514,20 +791,40 @@ configs = st.builds(
     max_repairs=st.integers(0, 5),
     force_stages=st.booleans(),
 )
-json_scalars = st.none() | st.booleans() | counts | floats | text
+stages = st.builds(
+    StageStatus,
+    status=st.sampled_from([STATUS_COMPLETE, STATUS_INCOMPLETE]),
+    wall_time=floats,
+    cost=floats,
+)
 records = st.builds(
     RunRecord,
     run_id=text,
     config=configs,
     started_at=text,
     finished_at=text,
-    stage_statuses=st.dictionaries(text, st.dictionaries(text, json_scalars, max_size=3)),
+    stage_statuses=st.dictionaries(st.sampled_from(STAGES), stages),
     summary=st.none() | summaries,
     suggestions=st.lists(suggestions, max_size=2),
     plan=plans,
     outcomes=st.lists(outcomes, max_size=2),
     success_index=st.none() | st.integers(0, 5),
-    ledger=st.dictionaries(text, json_scalars, max_size=4),
+    ledger=ledgers.map(UsageLedger.to_dict),
+)
+metrics = st.builds(
+    CveMetrics,
+    epss=st.floats(0.0, 100.0),
+    exploitability=st.none() | st.floats(0.0, 4.0),
+)
+manifests = st.builds(
+    TargetManifest,
+    name=st.text(min_size=1, max_size=12),
+    cves=st.dictionaries(text, metrics, min_size=1, max_size=3),
+    application=text,
+    version=text,
+    cwe_id=text,
+    setup_ref=text,
+    target_address=text,
 )
 
 
@@ -558,7 +855,10 @@ STRATEGIES = [
     ledgers,
     transcripts,
     configs,
+    stages,
     records,
+    metrics,
+    manifests,
 ]
 
 
@@ -571,6 +871,19 @@ def test_round_trip(strategy, data):
     if isinstance(record, VulnerabilityNode):
         record = as_written(record)
     assert again == record
+
+
+def test_every_record_class_is_covered():
+    """Each record class of the package has an instance above, for its
+    golden text and the refusal tests below, and a strategy, for its round
+    trip."""
+    for module in pkgutil.iter_modules(pentestflow.__path__):
+        importlib.import_module(f"pentestflow.{module.name}")
+    package = {
+        cls for cls in Record.__subclasses__() if cls.__module__.startswith("pentestflow.")
+    }
+    assert package == {type(x) for x in INSTANCES.values()}
+    assert package == {s.wrapped_strategy.target for s in STRATEGIES}
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +963,17 @@ RECORD_PROBES = [
     (["suggestions", 0, "confidence"], "0.9", "RunRecord['suggestions'][0]['confidence']"),
     (["plan", "entries", 1, "exploit", "requirements"], "x", "['exploit']['requirements']"),
     (["config", "max_steps"], 2.0, "RunRecord['config']['max_steps']"),
+    (
+        ["stage_statuses", "intelligence_gathering", "wall_time"],
+        "fast",
+        "RunRecord['stage_statuses']['intelligence_gathering']['wall_time']",
+    ),
+    (
+        ["stage_statuses", "intelligence_gathering", "status"],
+        "skipped",
+        "RunRecord['stage_statuses']['intelligence_gathering'] is invalid",
+    ),
+    (["ledger", "call_count"], "many", "UsageLedger['call_count']"),
 ]
 
 
