@@ -10,9 +10,11 @@ from pathlib import Path
 import pytest
 
 from pentestflow import cli
+from pentestflow.config import ConfigError, ProviderSpec, load_provider_specs
 from pentestflow.gateway import (
     BackendUnreachable,
     HttpChatBackend,
+    ProviderProfile,
     ScriptedBackend,
     TranscriptEntry,
     read_transcript,
@@ -234,6 +236,74 @@ def test_unknown_provider_is_config_error(tmp_path, capsys):
     )
     assert rc == cli.EXIT_CONFIG
     assert "no-such-provider" in capsys.readouterr().err
+
+
+PROVIDER_ENTRY = {"context_window": 4096, "input_price": 0.5, "output_price": 1.5}
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        ({"temprature": 0.7}, "temprature"),
+        ({"provider_id": "other"}, "provider_id"),
+        ({"context_window": True}, "context_window"),
+        ({"context_window": 4096.0}, "context_window"),
+        ({"input_price": False}, "input_price"),
+        ({"output_price": "0.002"}, "output_price"),
+        ({"temperature": "0.7"}, "temperature"),
+        ({"model_name": 35}, "model_name"),
+        ({"endpoint": None}, "endpoint"),
+        ({"credential_env": 1}, "credential_env"),
+        ({"context_window": None}, "context_window"),
+    ],
+)
+def test_provider_config_refuses_unknown_keys_and_wrong_types(tmp_path, change, key):
+    path = tmp_path / "providers.json"
+    path.write_text(json.dumps({"mine": {**PROVIDER_ENTRY, **change}}), encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"provider 'mine'.*'{key}'"):
+        load_provider_specs(path)
+
+
+def test_provider_config_entry_reads_every_field(tmp_path):
+    path = tmp_path / "providers.json"
+    entries = {
+        "short": {"context_window": 4096, "input_price": 1, "output_price": 2},
+        "full": {
+            "endpoint": "http://127.0.0.1:9/v1",
+            "credential_env": "MY_KEY",
+            "model_name": "m-1",
+            "context_window": 8192,
+            "input_price": 0.25,
+            "output_price": 0.75,
+            "temperature": 0.5,
+        },
+    }
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    specs = load_provider_specs(path)
+    assert specs["short"] == ProviderSpec(ProviderProfile("short", "short", 4096, 1.0, 2.0))
+    assert specs["full"] == ProviderSpec(
+        ProviderProfile("full", "m-1", 8192, 0.25, 0.75, temperature=0.5),
+        endpoint="http://127.0.0.1:9/v1",
+        credential_env="MY_KEY",
+    )
+
+
+def test_malformed_provider_config_is_config_error(tmp_path, capsys):
+    # once loaded silently as a one-token window at temperature 0.0
+    path = tmp_path / "providers.json"
+    entry = {
+        "context_window": True,
+        "input_price": 0.001,
+        "output_price": "0.002",
+        "temprature": 0.7,
+    }
+    path.write_text(json.dumps({"mine": entry}), encoding="utf-8")
+    (tmp_path / "transcripts").mkdir()
+    argv = ["recon", "--target", TARGET, "--scope", TARGET, "--provider", "mine"]
+    argv += ["--provider-config", str(path), "--replay", str(tmp_path / "transcripts")]
+    assert cli.main(argv + ["--output", str(tmp_path / "runs")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "'mine'" in err
 
 
 def test_plan_before_recon_is_stage_error(tmp_path, capsys):

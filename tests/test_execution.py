@@ -554,6 +554,47 @@ def test_run_plan_empty(tmp_path):
     assert outcomes == [] and winner is None
 
 
+def test_exploit_corpora_do_not_outlive_their_listing(tmp_path):
+    poc_dir = tmp_path / "poc"
+    poc_dir.mkdir()
+    (poc_dir / "exploit.py").write_text(
+        "# needs TARGET_URL and AUTH_TOKEN\n" * 40, encoding="utf-8"
+    )
+    (poc_dir / "README.md").write_text("usage: exploit.py <target_url>\n", encoding="utf-8")
+    agent = make_agent(tmp_path)
+    listings = []
+
+    def factory(name):
+        if name.startswith("prep"):
+
+            def responder(request):
+                listings.append(request.prompt)
+                return listing_reply(["target"])
+
+            return make_session(responder=responder, name=name)
+        return make_session([step_reply("", done=True, success=False)], name=name)
+
+    # one exploit under two CVEs, then a second exploit
+    shared = make_exploit(source_ref="r/shared", local_path=str(poc_dir))
+    plan = ExploitPlan(
+        entries=[
+            PlanEntry(cve_id=cve, exploit=exploit, confidence=0.9, effect="rce")
+            for cve, exploit in [
+                ("CVE-2020-0001", shared),
+                ("CVE-2020-0002", shared),
+                ("CVE-2020-0003", make_exploit(source_ref="r/other")),
+            ]
+        ]
+    )
+    outcomes, winner = agent.run_plan(plan, TARGET, factory)
+    assert winner is None and len(outcomes) == 3
+    assert not [cid for cid in agent.rag._cache if cid.startswith("exp_")]
+    # the shared exploit is indexed again for its second entry, to the same passages
+    assert len(listings) == 3
+    assert listings[0] == listings[1]
+    assert "AUTH_TOKEN" in listings[0] and "doc=README.md" in listings[0]
+
+
 # ---------------------------------------------------------------------------
 # run_plan asks each fill question once (oracle: every question asked fresh)
 # ---------------------------------------------------------------------------

@@ -388,6 +388,106 @@ def test_ranking_with_many_exact_ties_matches_oracle(tmp_path_factory, documents
     assert got == oracle_rank(oracle_chunks, query)[:k]
 
 
+PIECE = 16  # chunk size with no overlap: a text of pieces this wide chunks into them
+
+
+@st.composite
+def two_call_corpora(draw):
+    """Documents for two index calls over 40-150 chunks of 0-3 words from a
+    four-word vocabulary; doc "a" opens both calls."""
+    words = st.lists(st.sampled_from(["scan", "port", "tls", "ftp"]), max_size=3)
+    pieces = draw(st.lists(words.map(" ".join), min_size=40, max_size=150))
+    cut = draw(st.integers(min_value=1, max_value=len(pieces) - 1))
+    calls = []
+    for part in (pieces[:cut], pieces[cut:]):
+        documents = []
+        while part:
+            size = draw(st.integers(min_value=1, max_value=12))
+            doc_id = draw(st.sampled_from(["a", "b", "ab", "zz"])) if documents else "a"
+            text = "".join(piece.ljust(PIECE) for piece in part[:size])
+            documents.append((doc_id, text, "u"))
+            part = part[size:]
+        calls.append(documents)
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    calls=two_call_corpora(),
+    query=st.sampled_from(["scan", "port tls", "ftp ftp scan", "cve"]),
+    k=st.integers(min_value=1, max_value=160),
+)
+def test_ranking_across_embed_blocks_matches_oracle(tmp_path_factory, calls, query, k):
+    # several blocks per corpus, exact ties and zero scores everywhere, and
+    # one doc id in two index calls, so equal keys tie on indexing order
+    store = RagStore(tmp_path_factory.mktemp("blocks"))
+    oracle_chunks = []
+    for documents in calls:
+        store.index("c", documents, chunk_size=PIECE, overlap=0)
+        for doc_id, text, _ in documents:
+            for idx, piece in enumerate(chunk_text(text, PIECE, 0)):
+                oracle_chunks.append((doc_id, idx, piece))
+    assert 40 <= len(oracle_chunks) <= 150
+    hits = store.retrieve("c", query, k=k)
+    assert [(h.chunk.doc_id, h.chunk.chunk_index) for h in hits] == (
+        oracle_rank(oracle_chunks, query)[:k]
+    )
+    qvec = oracle_embed(query)
+    scores = sorted(
+        (oracle_cosine(oracle_embed(text), qvec) for _, _, text in oracle_chunks),
+        reverse=True,
+    )
+    assert [h.score for h in hits] == scores[:k]
+    for hit in hits:
+        assert hit.score == oracle_cosine(oracle_embed(hit.chunk.text), qvec)
+
+
+def _short_texts(count: int, seed: int) -> list[tuple[str, str, str]]:
+    rng = random.Random(seed)
+    vocabulary = [f"w{i}x" for i in range(2000)] + ["scan", "port", "cve"]
+    return [
+        (f"doc{i:05d}", " ".join(rng.choices(vocabulary, k=12)), f"u{i % 7}")
+        for i in range(count)
+    ]
+
+
+def test_index_keeps_only_the_chunks():
+    rng = random.Random(11)
+    # 512 + 19 * 448 characters: 20 chunks of default size per document
+    documents = [
+        (f"doc{i:03d}", _words(rng, 2000)[:9024], f"u{i}") for i in range(100)
+    ]
+    text_bytes = sum(
+        len(piece) for _, text, _ in documents for piece in chunk_text(text)
+    )
+    store = RagStore("unused")
+    store.index("warm", documents[:1])
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        assert store.index("c", documents) == 2000
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a float64 vector per chunk would be 2,048 B on its own
+    assert after - before <= text_bytes + 256 * 2000
+
+
+def test_retrieve_memory_is_bounded_by_the_block():
+    store = RagStore("unused")
+    store.index("c", _short_texts(20_000, 12))
+    store.retrieve("c", "scan port w7x", k=5)  # fill the slot cache
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        hits = store.retrieve("c", "scan port w7x", k=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(hits) == 5
+    assert peak - before < 1024 * 1024
+
+
 # ---------------------------------------------------------------------------
 # Corpus lifecycle: every corpus lives in its store's memory
 # ---------------------------------------------------------------------------

@@ -21,9 +21,14 @@ from hypothesis import strategies as st
 
 import pentestflow
 from pentestflow.bench import CveMetrics, TargetManifest
-from pentestflow.config import ConfigError
+from pentestflow.config import ConfigError, ProviderSpec
 from pentestflow.execution import ErrorHistoryEntry, ExploitOutcome, OutcomeStatus
-from pentestflow.gateway import TranscriptEntry, UsageLedger, transcript_lines
+from pentestflow.gateway import (
+    ProviderProfile,
+    TranscriptEntry,
+    UsageLedger,
+    transcript_lines,
+)
 from pentestflow.knowledge import EFFECT_VOCABULARY, ExploitNode, VulnerabilityNode
 from pentestflow.pipeline import (
     KNOWLEDGE_OFFLINE,
@@ -92,6 +97,8 @@ MANIFEST = TargetManifest(
     setup_ref="compose/alpha.yml",
     target_address="10.0.0.5",
 )
+PROFILE = ProviderProfile("local", "m-1", 8192, 0.25, 0.75, temperature=0.5)
+PROVIDER = ProviderSpec(PROFILE, endpoint="http://127.0.0.1:9/v1", credential_env="MY_KEY")
 CONFIG = RunConfig(
     target="10.0.0.5",
     scope=("10.0.0.0/24", "10.0.1.1"),
@@ -130,6 +137,8 @@ INSTANCES = {
     "RunRecord": RECORD,
     "CveMetrics": METRICS,
     "TargetManifest": MANIFEST,
+    "ProviderProfile": PROFILE,
+    "ProviderSpec": PROVIDER,
 }
 
 # ---------------------------------------------------------------------------
@@ -826,6 +835,16 @@ manifests = st.builds(
     setup_ref=text,
     target_address=text,
 )
+profiles = st.builds(
+    ProviderProfile,
+    provider_id=text,
+    model_name=text,
+    context_window=st.integers(1, 10**6),
+    input_price=st.floats(0.0, 1e3),
+    output_price=st.floats(0.0, 1e3),
+    temperature=st.floats(0.0, 1.0),
+)
+providers = st.builds(ProviderSpec, profile=profiles, endpoint=text, credential_env=text)
 
 
 def as_written(node: VulnerabilityNode) -> VulnerabilityNode:
@@ -859,6 +878,8 @@ STRATEGIES = [
     records,
     metrics,
     manifests,
+    profiles,
+    providers,
 ]
 
 
