@@ -4,6 +4,7 @@ ranking, confidence handling, and plan round-trips."""
 import json
 import random
 
+from pentestflow import prompts
 from pentestflow.gateway import ChatSession, ScriptedBackend
 from pentestflow.knowledge import ExploitNode, KnowledgeTree, VulnerabilityNode
 from pentestflow.planning import (
@@ -12,9 +13,9 @@ from pentestflow.planning import (
     PlanEntry,
     PlanningAgent,
     _fallback_confidence,
-    _match_class,
 )
 from pentestflow.recon import EnvironmentSummary, ServiceFingerprint
+from pentestflow.versions import relation
 
 from conftest import WIDE_PROFILE
 
@@ -81,13 +82,13 @@ def suggestion(cve_id, confidence=0.5, application=APP):
 
 
 def test_match_class():
-    assert _match_class("1.2.3", "1.2.3") == "exact"
-    assert _match_class("1.*", "1.2.3") == "match"
-    assert _match_class("", "1.2.3") == "match"
-    assert _match_class("<=1.0", "1.2.3") == "unknown"  # provably excluded
-    assert _match_class("", "") == "match"
-    assert _match_class("<=9.9", "") == "unknown"
-    assert _match_class("1.2.3", "total nonsense version!") == "unknown"
+    assert relation("1.2.3", "1.2.3") == "exact"
+    assert relation("1.*", "1.2.3") == "match"
+    assert relation("", "1.2.3") == "match"
+    assert relation("<=1.0", "1.2.3") == "excluded"  # callers never rank it
+    assert relation("", "") == "match"
+    assert relation("<=9.9", "") == "unknown"
+    assert relation("1.2.3", "total nonsense version!") == "unknown"
 
 
 def test_fallback_confidence_frozen_values():
@@ -188,6 +189,9 @@ def test_suggest_confidence_clamped():
             vuln("CVE-2020-0001", "1.2.3"),
             vuln("CVE-2020-0002", "1.2.3"),
             vuln("CVE-2020-0003", "1.2.3"),
+            vuln("CVE-2020-0004", "1.2.3"),
+            vuln("CVE-2020-0005", "1.2.3"),
+            vuln("CVE-2020-0006", "1.2.3"),
         )
     )
     session = make_session(
@@ -198,13 +202,25 @@ def test_suggest_confidence_clamped():
                         {"cve_id": "CVE-2020-0001", "app": APP, "confidence": 3.5},
                         {"cve_id": "CVE-2020-0002", "app": APP, "confidence": -2},
                         {"cve_id": "CVE-2020-0003", "app": APP, "confidence": "high"},
+                        {"cve_id": "CVE-2020-0004", "app": APP, "confidence": float("nan")},
+                        {"cve_id": "CVE-2020-0005", "app": APP, "confidence": "NaN"},
+                        {"cve_id": "CVE-2020-0006", "app": APP, "confidence": 10**400},
                     ]
                 }
             )
         ]
     )
     out = {s.cve_id: s.confidence for s in agent.suggest_surfaces(summary_for(), session)}
-    assert out == {"CVE-2020-0001": 1.0, "CVE-2020-0002": 0.0, "CVE-2020-0003": 0.5}
+    # NaN, which json writes and reads, and an integer too large for a float
+    # are no usable number either
+    assert out == {
+        "CVE-2020-0001": 1.0,
+        "CVE-2020-0002": 0.0,
+        "CVE-2020-0003": 0.5,
+        "CVE-2020-0004": 0.5,
+        "CVE-2020-0005": 0.5,
+        "CVE-2020-0006": 0.5,
+    }
 
 
 def test_suggest_fallback_ordering_classes_and_epss():
@@ -453,3 +469,112 @@ def test_fuzz_plan_never_contains_unfetched_refs():
         for entry in plan.entries:
             assert entry.cve_id in KNOWN_CVES, f"trial {trial} leaked a cve"
             assert entry.exploit.source_ref in KNOWN_REFS, f"trial {trial} leaked a ref"
+
+
+# ---------------------------------------------------------------------------
+# Characterization: the rank prompts and the fallback, byte for byte
+# ---------------------------------------------------------------------------
+
+
+def classes_tree():
+    """One exact, one match, one unknown and one excluded node and exploit."""
+    tree = tree_with(
+        vuln(
+            "CVE-2020-0001",
+            "1.2.3",
+            epss=10.0,
+            exploits=[exploit("repo/exact", "1.2.3"), exploit("repo/gone", "<=1.0")],
+        ),
+        vuln(
+            "CVE-2020-0002",
+            "1.*",
+            epss=90.0,
+            exploits=[
+                exploit("repo/wild", "1.*"),
+                exploit("repo/any", "", requirements=("java", "net")),
+            ],
+        ),
+        vuln("CVE-2020-0003", "<=1.0", epss=99.0, exploits=[exploit("repo/old")]),
+    )
+    tree.upsert(
+        "Legacy",
+        vuln("CVE-2021-0001", ">=2.0", epss=50.0, exploits=[exploit("repo/legacy", ">=2.0")]),
+    )
+    tree.upsert("Legacy", vuln("CVE-2021-0002", "", exploits=[exploit("repo/legacy-any")]))
+    return tree
+
+
+SURFACE_NODE_LINES = """\
+- app=DemoSrv cve_id=CVE-2020-0001 type=rce affected=1.2.3 version_match=exact exploits=2
+- app=DemoSrv cve_id=CVE-2020-0002 type=rce affected=1.* version_match=match exploits=2
+- app=Legacy cve_id=CVE-2021-0001 type=rce affected=>=2.0 version_match=unknown exploits=1
+- app=Legacy cve_id=CVE-2021-0002 type=rce affected=any version_match=match exploits=1"""
+
+EXPLOIT_LINES = {
+    "1.2.3": """\
+- cve_id=CVE-2020-0001 source_ref=repo/exact effect=remote command execution versions=1.2.3 version_match=exact requires: none
+- cve_id=CVE-2020-0002 source_ref=repo/any effect=remote command execution versions=any version_match=match requires: java; net
+- cve_id=CVE-2020-0002 source_ref=repo/wild effect=remote command execution versions=1.* version_match=match requires: none
+- cve_id=CVE-2021-0002 source_ref=repo/legacy-any effect=remote command execution versions=any version_match=match requires: none""",
+    "build-7": """\
+- cve_id=CVE-2020-0001 source_ref=repo/exact effect=remote command execution versions=1.2.3 version_match=unknown requires: none
+- cve_id=CVE-2020-0001 source_ref=repo/gone effect=remote command execution versions=<=1.0 version_match=unknown requires: none
+- cve_id=CVE-2020-0002 source_ref=repo/any effect=remote command execution versions=any version_match=match requires: java; net
+- cve_id=CVE-2020-0002 source_ref=repo/wild effect=remote command execution versions=1.* version_match=unknown requires: none
+- cve_id=CVE-2021-0001 source_ref=repo/legacy effect=remote command execution versions=>=2.0 version_match=unknown requires: none
+- cve_id=CVE-2021-0002 source_ref=repo/legacy-any effect=remote command execution versions=any version_match=match requires: none""",
+}
+
+FALLBACK_PLANS = {
+    "1.2.3": [
+        ("CVE-2020-0001", "repo/exact", 0.81, APP),
+        ("CVE-2020-0002", "repo/any", 0.59, APP),
+        ("CVE-2020-0002", "repo/wild", 0.59, APP),
+        ("CVE-2021-0002", "repo/legacy-any", 0.5, "Legacy"),
+    ],
+    "build-7": [
+        ("CVE-2020-0002", "repo/any", 0.59, APP),
+        ("CVE-2021-0002", "repo/legacy-any", 0.5, "Legacy"),
+        ("CVE-2020-0002", "repo/wild", 0.29, APP),
+        ("CVE-2021-0001", "repo/legacy", 0.25, "Legacy"),
+        ("CVE-2020-0001", "repo/exact", 0.21, APP),
+        ("CVE-2020-0001", "repo/gone", 0.21, APP),
+    ],
+}
+
+
+def test_rank_prompts_and_fallback_are_pinned():
+    summary = EnvironmentSummary(
+        target="127.0.0.1",
+        os_guess="linux",
+        fingerprints=(
+            ServiceFingerprint("127.0.0.1", 8080, "tcp", "http", APP, "1.2.3"),
+            ServiceFingerprint("127.0.0.1", 9090, "tcp", "http", "Legacy", "build-7"),
+        ),
+        notes="",
+        collected_at="2024-01-01T00:00:00Z",
+    )
+    agent = PlanningAgent(classes_tree())
+    seen = []
+
+    def session():
+        return make_session(responder=lambda request: seen.append(request.prompt) or "no json here")
+
+    suggestions = agent.suggest_surfaces(summary, session())
+    assert seen[0] == prompts.SURFACE_RANK_TEMPLATE.format(
+        environment=json.dumps(summary.to_dict(), indent=2, ensure_ascii=False),
+        nodes=SURFACE_NODE_LINES,
+    )
+    assert [(s.application, s.cve_id, s.confidence, s.rationale) for s in suggestions] == [
+        (APP, "CVE-2020-0001", 0.81, "fallback ranking: version exact"),
+        (APP, "CVE-2020-0002", 0.59, "fallback ranking: version match"),
+        ("Legacy", "CVE-2021-0002", 0.5, "fallback ranking: version match"),
+        ("Legacy", "CVE-2021-0001", 0.25, "fallback ranking: version unknown"),
+    ]
+    for version, lines in EXPLOIT_LINES.items():
+        seen.clear()
+        plan = agent.plan_exploits(suggestions, version, session())
+        assert seen[0] == prompts.EXPLOIT_RANK_TEMPLATE.format(version=version, exploits=lines)
+        assert [
+            (e.cve_id, e.exploit.source_ref, e.confidence, e.application) for e in plan.entries
+        ] == FALLBACK_PLANS[version]

@@ -247,6 +247,43 @@ def test_extract_surfaces_consolidation_failure_falls_back(tmp_path):
     assert surfaces[0].source_uri == "https://adv.org/1"
 
 
+def test_extract_surfaces_reads_a_string_list_field_as_one_item(tmp_path):
+    agent = make_agent(tmp_path, [])
+    reply = json.dumps(
+        {
+            "relevant": True,
+            "summary": "rce",
+            "cve_ids": "CVE-2023-46604",
+            "leads": "openwire deserialization",
+        }
+    )
+    session = make_session([reply, "garbage", "garbage", "garbage"])
+    surfaces = agent.extract_attack_surfaces("A", "1", [make_doc(uri="https://adv.org/1")], session)
+    assert [(s.cve_id, s.leads, s.source_uri) for s in surfaces] == [
+        ("CVE-2023-46604", ("openwire deserialization",), "https://adv.org/1")
+    ]
+
+
+def test_extract_surfaces_drops_a_list_field_of_another_type(tmp_path):
+    agent = make_agent(tmp_path, [])
+    session = make_session(
+        [
+            surface_doc_reply(),
+            consolidation_reply(
+                [
+                    {"cve_id": "CVE-2023-46604", "leads": {"openwire": 1}},
+                    {"cve_id": "", "leads": "jmx console exposed"},
+                ]
+            ),
+        ]
+    )
+    surfaces = agent.extract_attack_surfaces("A", "1", [make_doc()], session)
+    assert [(s.cve_id, s.leads) for s in surfaces] == [
+        ("CVE-2023-46604", ()),
+        ("UNASSIGNED", ("jmx console exposed",)),
+    ]
+
+
 def test_extract_surfaces_drops_unassigned_without_leads(tmp_path):
     agent = make_agent(tmp_path, [])
     session = make_session(
@@ -364,6 +401,20 @@ def test_extract_exploits_happy_path(tmp_path):
     assert e.applicable_versions == "5.17.*"
     assert e.requirements == ("java runtime",)
     assert e.source_uri == "https://github.com/x/poc"
+
+
+def test_extract_exploits_reads_string_requirements_as_one_item(tmp_path):
+    agent = make_agent(tmp_path, [])
+    docs = [make_doc(uri=f"https://e.org/{i}", kind=ConnectorKind.CODE_REPO) for i in range(3)]
+    replies = [
+        json.loads(exploit_doc_reply(source_ref=f"github.com/x/poc{i}")) for i in range(3)
+    ]
+    replies[0]["requirements"] = "java runtime"
+    replies[1]["requirements"] = 5
+    replies[2]["requirements"] = ""
+    session = make_session([json.dumps(reply) for reply in replies])
+    found = agent.extract_exploits(make_surface(), docs, session)
+    assert [e.requirements for e in found] == [("java runtime",), (), ()]
 
 
 def test_extract_exploits_filters(tmp_path):

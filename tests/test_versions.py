@@ -15,6 +15,7 @@ from pentestflow.versions import (
     Version,
     VersionConstraint,
     constraint_matches,
+    relation,
 )
 
 GRID = [(a, b, c) for a in range(10) for b in range(10) for c in range(10)]
@@ -286,3 +287,74 @@ def test_constraint_with_suffixed_versions():
 def test_matches_all_property():
     assert VersionConstraint.parse("").matches_all
     assert not VersionConstraint.parse("1.0").matches_all
+
+
+# ---------------------------------------------------------------------------
+# relation: how a constraint relates to a version
+# ---------------------------------------------------------------------------
+
+MALFORMED = ["banana", "<5.0", "=5.0", "1.*.2", "*", "1.2,", "<=banana", "apple - 2.0"]
+ODD_VERSIONS = ["", "   ", "banana", "total nonsense version!", "v1.2.3", "1.2.3-beta", "5.17.1-rc1", "1.2"]
+
+
+def ref_relation(expression: str, version_text: str) -> str:
+    """Brute force from the grammar's own parts: parse, matches, clauses."""
+    try:
+        constraint = VersionConstraint.parse(expression)
+    except MalformedConstraint:
+        return "unknown"
+    try:
+        matched = constraint.matches(version_text)
+    except UnparseableVersion:
+        return "unknown"
+    if not matched:
+        return "excluded"
+    exact = [clause[1] for clause in constraint.clauses if clause[0] == "exact"]
+    return "exact" if exact and Version.parse(version_text) in exact else "match"
+
+
+def test_relation_grid_oracle():
+    rng = random.Random(0xC1A55)
+    disagreements = []
+    for expression in generate_constraints(rng, 60):
+        bare = [
+            tuple(int(x) for x in part.strip().split("."))
+            for part in expression.split(",")
+            if part.strip() and part.strip()[0].isdigit() and " - " not in part and "*" not in part
+        ]
+        for triple in GRID:
+            text = ".".join(str(x) for x in triple)
+            if not ref_matches(expression, triple):
+                want = "excluded"
+            elif any(_cmp(triple, exact) == 0 for exact in bare):
+                want = "exact"
+            else:
+                want = "match"
+            got = relation(expression, text)
+            if not got == want == ref_relation(expression, text):
+                disagreements.append((expression, text, got, want))
+    assert disagreements == []
+
+
+def test_relation_on_malformed_constraints_and_odd_versions():
+    rng = random.Random(0x0DD)
+    expressions = generate_constraints(rng, 40) + MALFORMED + ["5.17.1-rc1", "<=1.2.3-beta"]
+    versions = ODD_VERSIONS + [_random_version_text(rng) for _ in range(10)]
+    for expression in expressions:
+        for version in versions:
+            assert relation(expression, version) == ref_relation(expression, version), (
+                expression,
+                version,
+            )
+    for expression in MALFORMED:
+        assert {relation(expression, v) for v in versions} == {"unknown"}
+    for version in ("", "   ", "banana"):
+        assert relation("", version) == "match"
+        assert relation("<=9.9", version) == "unknown"
+        assert relation("1.2.3", version) == "unknown"
+    assert relation("1.2.3", "v1.2.3") == "exact"
+    assert relation("1.2", "1.2.0") == "exact"
+    assert relation("1.2.3, <=2.0", "1.2.3") == "exact"
+    assert relation("5.17.1-rc1", "5.17.1-rc1") == "exact"
+    assert relation("5.17.1", "5.17.1-rc1") == "excluded"
+    assert relation("<=1.2.3-beta", "1.2.3-alpha") == "match"
