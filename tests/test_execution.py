@@ -5,6 +5,7 @@ plan driver."""
 import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -445,6 +446,36 @@ def test_prepare_fill_priority(tmp_path):
     assert requirements["target_host"].source is ParamSource.DEFAULT
     assert requirements["api_key"].value == ""
     assert requirements["api_key"].source is ParamSource.UNFILLABLE
+
+
+def test_prepare_reads_found_as_a_yes_or_no(tmp_path):
+    agent = prep_agent(tmp_path)
+    session = make_session(
+        [listing_reply(["username"]), json.dumps({"found": "false", "value": "guess"})]
+    )
+    [requirement] = agent.prepare(make_exploit(), TARGET, session)
+    assert (requirement.value, requirement.source) == ("", ParamSource.UNFILLABLE)
+
+
+@pytest.mark.parametrize("value", [["alice"], {"user": "alice"}])
+def test_prepare_refuses_a_fill_value_that_is_not_a_string(tmp_path, value):
+    agent = prep_agent(tmp_path)
+    answers = {}
+    fills = []
+
+    def responder(request):
+        if '"found"' in request.prompt:
+            fills.append(request.prompt)
+            return json.dumps({"found": True, "value": value})
+        return listing_reply(["username"])
+
+    for _ in range(2):
+        [requirement] = agent.prepare(
+            make_exploit(), TARGET, make_session(responder=responder), answers
+        )
+        assert (requirement.value, requirement.source) == ("", ParamSource.UNFILLABLE)
+    # an unusable reply is not kept, so the question is asked again
+    assert answers == {} and len(fills) == 2
 
 
 def test_prepare_without_env_store_uses_defaults(tmp_path):

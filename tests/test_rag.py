@@ -18,7 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentestflow.gateway import ResponseSchema, register_schema
+from pentestflow.gateway import (
+    RESPONSE_RESERVE_TOKENS,
+    ChatSession,
+    ProviderProfile,
+    ResponseSchema,
+    ScriptedBackend,
+    estimate_tokens,
+    register_schema,
+)
 from pentestflow.rag import (
     CHUNK_OVERLAP,
     CHUNK_SIZE,
@@ -29,6 +37,7 @@ from pentestflow.rag import (
     chunk_text,
     _token_slot,
     cosine_scores,
+    passages,
 )
 
 from conftest import scripted_session
@@ -696,6 +705,195 @@ def test_synthesize_budget_drops_low_scoring_chunks(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# What reaches the prompt: the budget prefix of the ranking, as document slices
+# ---------------------------------------------------------------------------
+
+SYSTEM = "sys"
+PASSAGE_WORDS = ["scan", "port", "admin", "shell", "root", "token", "web", "x1"]
+# (chunk_size, overlap): no overlap, small, large, the largest allowed, default
+CHUNKINGS = [(8, 0), (12, 3), (20, 5), (16, 15), (CHUNK_SIZE, CHUNK_OVERLAP)]
+
+
+def budget_session(budget, query, prompts_seen):
+    """A session whose prompt_budget(query) is exactly budget."""
+    window = (
+        budget
+        + RESPONSE_RESERVE_TOKENS
+        + estimate_tokens(SYSTEM)
+        + estimate_tokens(query)
+    )
+
+    def responder(request):
+        prompts_seen.append(request.prompt)
+        return '{"answer": 1}'
+
+    profile = ProviderProfile("budget", "m", window, 0, 0)
+    session = ChatSession("s", SYSTEM, profile, ScriptedBackend(responder=responder))
+    assert session.prompt_budget(query) == budget
+    return session
+
+
+def oracle_corpus(calls):
+    """Per position: (doc_id, chunk_index, text, source, document, step, cut),
+    where cut numbers the document within the corpus."""
+    corpus = []
+    for cut_base, ((size, overlap), documents) in enumerate(calls):
+        for d, (doc_id, text, source) in enumerate(documents):
+            for idx, piece in enumerate(chunk_text(text, size, overlap)):
+                corpus.append((doc_id, idx, piece, source, text, size - overlap, (cut_base, d)))
+    return corpus
+
+
+def oracle_kept(corpus, query, k, budget):
+    """The parent's selection: the top-k ranking (ties by doc id, chunk index,
+    then indexing order), cut where the next chunk would blow the budget."""
+    qvec = oracle_embed(query)
+    ranking = sorted(
+        (-oracle_cosine(oracle_embed(c[2]), qvec), c[0], c[1], position)
+        for position, c in enumerate(corpus)
+    )
+    kept, used = [], 0
+    for *_, position in ranking[:k]:
+        used += estimate_tokens(corpus[position][2]) + 16
+        if used > budget:
+            break
+        kept.append(position)
+    return kept
+
+
+def oracle_prompt(corpus, kept, query):
+    """The prompt rendered from the oracle: runs of kept chunks cut one after
+    another from one document, each sent as the document slice it spans."""
+    runs = []
+    for position in sorted(kept):
+        previous = runs[-1][-1] if runs else None
+        if previous == position - 1 and corpus[previous][6] == corpus[position][6]:
+            runs[-1].append(position)
+        else:
+            runs.append([position])
+    if not runs:
+        return query
+    blocks = []
+    for run in runs:
+        doc_id, first, _, source, text, step, _ = corpus[run[0]]
+        last, last_text = corpus[run[-1]][1], corpus[run[-1]][2]
+        doc = "" if doc_id == source else f" doc={doc_id}"
+        span = f"chunk={first}" if first == last else f"chunks={first}-{last}"
+        blocks.append(
+            f"[source: {source}{doc} {span}]\n"
+            + text[first * step : last * step + len(last_text)]
+        )
+    return (
+        "Context passages (cite sources where relevant):\n\n"
+        + "\n---\n".join(blocks)
+        + "\n\n"
+        + query
+    )
+
+
+_passage_text = st.lists(st.sampled_from(PASSAGE_WORDS), max_size=40).map(" ".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    calls=st.lists(
+        st.tuples(
+            st.sampled_from(CHUNKINGS),
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["a", "b", "u"]), _passage_text, st.sampled_from(["u", "v"])
+                ),
+                max_size=3,
+            ),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    query=st.lists(st.sampled_from(PASSAGE_WORDS), min_size=1, max_size=4).map(" ".join),
+    k=st.integers(1, 12),
+    budget=st.integers(0, 200),
+)
+def test_prompt_carries_the_budget_prefix_as_document_slices(calls, query, k, budget):
+    # doc ids repeat within and across index calls, chunkings differ per call
+    store = RagStore("unused")
+    for (size, overlap), documents in calls:
+        store.index("c", documents, chunk_size=size, overlap=overlap)
+    corpus = oracle_corpus(calls)
+    kept = oracle_kept(corpus, query, k, budget)
+
+    selected = store.select("c", query, k, budget)
+    assert sorted(chunk.position for chunk in selected) == sorted(kept)
+    merged = passages(selected)
+    in_passages = [chunk.position for passage in merged for chunk in passage.chunks]
+    assert sorted(in_passages) == sorted(kept)  # each kept chunk exactly once
+    for passage in merged:
+        first, last = passage.chunks[0], passage.chunks[-1]
+        _, _, _, _, text, step, cut = corpus[first.position]
+        assert {corpus[chunk.position][6] for chunk in passage.chunks} == {cut}
+        start, end = first.chunk_index * step, last.chunk_index * step + len(last.text)
+        assert passage.text == text[start:end]
+
+    seen = []
+    session = budget_session(budget, query, seen)
+    response = store.synthesize("c", query, k, session, "ragtest_answer")
+    assert seen == [oracle_prompt(corpus, kept, query)]
+    assert response.context_empty == (not kept)
+
+
+def test_passages_merge_only_chunks_cut_one_after_another():
+    store = RagStore("unused")
+    text = "abcdefghijklmnopqrstuvwxyz"
+    for _ in range(2):  # one doc id, indexed twice: two documents
+        assert store.index("c", [("a", text, "u")], 12, 4) == 3
+    chunks = store.select("c", "q", 6, 10**6)
+    assert [c.position for c in chunks] == list(range(6))
+
+    def spans(positions):
+        return [
+            ([c.position for c in p.chunks], p.header, p.text)
+            for p in passages(chunks[i] for i in positions)
+        ]
+
+    assert spans([5, 3, 0, 4, 1, 2]) == [
+        ([0, 1, 2], "[source: u doc=a chunks=0-2]", text),
+        ([3, 4, 5], "[source: u doc=a chunks=0-2]", text),
+    ]
+    # chunk indexes 0 then 1, but of two documents; 2 then 0 sit side by side
+    assert spans([0, 4]) == [
+        ([0], "[source: u doc=a chunk=0]", text[:12]),
+        ([4], "[source: u doc=a chunk=1]", text[8:20]),
+    ]
+    assert [p for p, _, _ in spans([2, 3])] == [[2], [3]]
+
+
+def test_a_small_corpus_that_fits_is_sent_whole_unranked(monkeypatch):
+    store = RagStore("unused")
+    text = "alpha bravo charlie delta echo foxtrot golf hotel india juliet"
+    assert store.index("c", [("https://adv.org/1", text, "https://adv.org/1")], 30, 6) == 3
+    store.index("c", [("notes", "kilo lima", "env://notes")])
+    whole = sum(estimate_tokens(c) + 16 for c in [*chunk_text(text, 30, 6), "kilo lima"])
+
+    def refuse(texts):
+        raise AssertionError("a corpus that fits whole is not embedded")
+
+    monkeypatch.setattr(store.embedder, "embed", refuse)
+    seen = []
+    session = budget_session(whole, "which words?", seen)
+    response = store.synthesize("c", "which words?", 4, session, "ragtest_answer")
+    assert response.valid and not response.context_empty
+    assert seen == [
+        "Context passages (cite sources where relevant):\n\n"
+        f"[source: https://adv.org/1 chunks=0-2]\n{text}\n---\n"
+        "[source: env://notes doc=notes chunk=0]\nkilo lima\n\nwhich words?"
+    ]
+    # one chunk more than k, or a budget one token short, and it is ranked
+    for k, budget in ((3, whole), (4, whole - 1)):
+        session = budget_session(budget, "which words?", [])
+        with pytest.raises(AssertionError, match="not embedded"):
+            store.synthesize("c", "which words?", k, session, "ragtest_answer")
+
+
+# ---------------------------------------------------------------------------
 # Synthesis is stateless: passages travel with the prompt, history stays home
 # ---------------------------------------------------------------------------
 
@@ -708,11 +906,14 @@ ENV_DOCS = [
 
 
 def _rendered(store, corpus_id, analysis_prompt, k):
-    """The synthesize prompt rendered independently from the ranking."""
+    """The synthesize prompt rendered independently from the ranking's
+    chunks, in indexing order; each ENV_DOCS document is one chunk, so none
+    merge, and each doc id differs from its source."""
+    hits = sorted(store.retrieve(corpus_id, analysis_prompt, k), key=lambda h: h.chunk.position)
     blocks = [
         f"[source: {h.chunk.source_uri} doc={h.chunk.doc_id} "
         f"chunk={h.chunk.chunk_index}]\n{h.chunk.text}"
-        for h in store.retrieve(corpus_id, analysis_prompt, k)
+        for h in hits
     ]
     return (
         "Context passages (cite sources where relevant):\n\n"

@@ -466,3 +466,22 @@ def test_tool_hints_are_retrieved_once_per_loop(tmp_path):
     # every turn's prompt still carries the hints
     assert len(seen) == 5
     assert all("nmap -sV fingerprint reconnaissance" in prompt for prompt in seen)
+
+
+def test_tool_hints_send_neighbouring_chunks_once_in_document_order(tmp_path):
+    from pentestflow import prompts
+
+    rag = RagStore(tmp_path / "rag")
+    text = "nmap -sV runs a service scan; reconnaissance starts with a fingerprint of each port"
+    assert rag.index("tooldocs", [("nmap", text, "tooldoc://nmap.md")], 40, 10) == 3
+    seen = []
+
+    def responder(request):
+        seen.append(request.prompt)
+        return step_reply("", done=True)
+
+    session = ChatSession("recon", "sys", WIDE_PROFILE, ScriptedBackend(responder=responder))
+    run_recon(make_state(max_iterations=1), session, StubExecutor(), rag)
+    # the three chunks are one passage: the document, overlaps sent once, no header
+    assert prompts.RECON_TOOL_HINTS_HEADER + text + "\n\n" in seen[0]
+    assert "[source:" not in seen[0]

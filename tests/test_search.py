@@ -284,6 +284,27 @@ def test_extract_surfaces_drops_a_list_field_of_another_type(tmp_path):
     ]
 
 
+def test_extract_surfaces_reads_a_listed_cve_id_as_its_first_item(tmp_path):
+    agent = make_agent(tmp_path, [])
+    session = make_session(
+        [
+            surface_doc_reply(),
+            consolidation_reply(
+                [
+                    {"cve_id": ["CVE-2023-46604", "CVE-2022-41678"], "leads": []},
+                    {"cve_id": [], "leads": ["jmx console exposed"]},
+                    {"cve_id": ["not-a-cve"], "leads": []},
+                ]
+            ),
+        ]
+    )
+    surfaces = agent.extract_attack_surfaces("A", "1", [make_doc()], session)
+    assert [(s.cve_id, s.leads) for s in surfaces] == [
+        ("CVE-2023-46604", ()),
+        ("UNASSIGNED", ("jmx console exposed",)),
+    ]
+
+
 def test_extract_surfaces_drops_unassigned_without_leads(tmp_path):
     agent = make_agent(tmp_path, [])
     session = make_session(
@@ -415,6 +436,20 @@ def test_extract_exploits_reads_string_requirements_as_one_item(tmp_path):
     session = make_session([json.dumps(reply) for reply in replies])
     found = agent.extract_exploits(make_surface(), docs, session)
     assert [e.requirements for e in found] == [("java runtime",), (), ()]
+
+
+def test_extract_exploits_reads_a_listed_cve_id_as_its_first_item(tmp_path):
+    agent = make_agent(tmp_path, [])
+    docs = [make_doc(uri=f"https://e.org/{i}", kind=ConnectorKind.CODE_REPO) for i in range(3)]
+    replies = [
+        json.loads(exploit_doc_reply(source_ref=f"github.com/x/poc{i}")) for i in range(3)
+    ]
+    replies[0]["cve_id"] = ["cve-2022-41678"]
+    replies[1]["cve_id"] = []
+    replies[2]["cve_id"] = ["CVE-BOGUS", "CVE-2022-41678"]
+    session = make_session([json.dumps(reply) for reply in replies])
+    found = agent.extract_exploits(make_surface(), docs, session)
+    assert [e.cve_id for e in found] == ["CVE-2022-41678", "CVE-2023-46604", "CVE-2023-46604"]
 
 
 def test_extract_exploits_filters(tmp_path):
